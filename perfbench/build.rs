@@ -1,0 +1,18 @@
+//! Records the compiler and build profile for the host block of every run.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(&rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".into());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC_VERSION={version}");
+    println!("cargo:rustc-env=PERFBENCH_PROFILE={profile}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
