@@ -8,7 +8,7 @@
 
 use crate::plan::{Domain, FaultKind};
 use coyote_sim::stats::Counter;
-use coyote_sim::SimTime;
+use coyote_sim::{fnv, SimTime};
 
 /// What a trace event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,22 +151,18 @@ impl FaultTrace {
     /// FNV-64 hash over the canonical field encoding. Same seed + same plan
     /// => same hash, on any thread count; this is the value CI publishes.
     pub fn hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        for e in &self.events {
-            mix(e.domain.tag());
-            mix(e.op);
-            mix(e.at_ps);
-            mix(e.kind.tag());
-            mix(e.fault.tag());
-            mix(e.detail);
-        }
-        h
+        self.events.iter().fold(fnv::OFFSET, |h, e| {
+            [
+                e.domain.tag(),
+                e.op,
+                e.at_ps,
+                e.kind.tag(),
+                e.fault.tag(),
+                e.detail,
+            ]
+            .into_iter()
+            .fold(h, fnv::fold_u64)
+        })
     }
 
     /// Aggregate counters.

@@ -276,6 +276,8 @@ impl ShellConfig {
 
     /// A stable digest of the configuration (identifies shell bitstreams).
     pub fn digest(&self) -> u64 {
+        // Not `coyote_sim::fnv`: its own offset, whole-word folds, and the
+        // value names every shell bitstream.
         let mut h: u64 = 0x8396_5525_27F4_E6E5;
         let mut absorb = |v: u64| {
             h ^= v;

@@ -527,7 +527,6 @@ impl Platform {
             });
         }
         completions.sort_by_key(|c| c.completed_at);
-        self.completions.extend(completions.iter().copied());
         // The batch is done: software observes completion before issuing
         // the next round, so the platform clock advances to the last
         // completion.

@@ -135,7 +135,6 @@ pub struct Platform {
     pub(crate) next_thread: u64,
     pub(crate) next_tid: Vec<u16>,
     pub(crate) pending: Vec<crate::datapath::PendingInvocation>,
-    pub(crate) completions: Vec<crate::cthread::Completion>,
     pub(crate) next_invocation: u64,
     pub(crate) now: SimTime,
     pub(crate) balboa: Option<BalboaService>,
@@ -192,7 +191,6 @@ impl Platform {
             next_thread: 1,
             next_tid: vec![0; n_vfpgas as usize],
             pending: Vec::new(),
-            completions: Vec::new(),
             next_invocation: 1,
             now: SimTime::ZERO,
             balboa,

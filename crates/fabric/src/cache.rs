@@ -231,6 +231,8 @@ impl BitstreamCache {
 /// Runs close to memory bandwidth — hashing a 37 MB shell image costs a
 /// few milliseconds where the CRC + frame scan it replaces costs tens.
 pub fn content_hash64(bytes: &[u8]) -> u64 {
+    // Not `coyote_sim::fnv`: a different, word-at-a-time hash; only its
+    // first lane's seed shares the FNV offset.
     const M: u64 = 0x9E37_79B9_7F4A_7C15;
     #[inline(always)]
     fn mix(lane: u64, word: u64) -> u64 {

@@ -1,16 +1,20 @@
-//! DES determinism analysis (DS001–DS005): the happens-before checker.
+//! DES determinism analysis (DS001–DS004, DS006, DS007): the
+//! happens-before checker.
 //!
-//! The scheduler breaks ties between same-timestamp events by insertion
-//! sequence number. That is deterministic for one binary, but the insertion
-//! order is an accident of model construction: two semantically equivalent
-//! programs (or one program after a refactor) can enqueue the same events
-//! in a different order and silently compute different results. This module
-//! replays a recorded [`TraceEntry`] stream and flags the schedules whose
-//! outcome *depends* on that accident:
+//! The engine breaks ties between same-timestamp events by their canonical
+//! [`EventKey`](coyote_sim::EventKey): declared priority, domain and target,
+//! then the origin shard's scheduling sequence. Where the declared fields
+//! tie, the order falls back to scheduling order, which is an accident of
+//! model construction: two semantically equivalent programs (or one program
+//! after a refactor) can schedule the same events in a different order and
+//! silently compute different results. This module reads a recorded
+//! [`ShardTrace`] — live, or decoded from a `.cyt` recording — and flags the
+//! schedules whose outcome *depends* on that accident. Events are named
+//! `origin#origin_seq`, their scheduling-independent address.
 //!
 //! * **DS001** — two same-timestamp events declare the *same* target (they
 //!   touch the same model object) without distinct tie-break priorities.
-//!   Whichever runs first wins; the result is insertion-order-dependent.
+//!   Whichever runs first wins; the result is scheduling-order-dependent.
 //! * **DS002** — same-timestamp events where some event declares no target
 //!   at all, so disjointness cannot be established. Informational: the
 //!   events may well be independent, but nothing proves it.
@@ -23,16 +27,11 @@
 //!   `(domain, op)` order: someone concatenated per-worker traces instead
 //!   of going through [`coyote_chaos::FaultTrace::merged`], so the trace
 //!   (and its published FNV-64 hash) depends on collection order.
-//! * **DS005** — an executed pop whose order contradicts the declared
-//!   priorities: the engine honors `(time, seq)`, so when a lower-priority
-//!   event was *inserted* first it also *runs* first, silently overriding
-//!   the declared intent. The schedule works today by accident of insertion
-//!   order — exactly what a refactor breaks.
 //! * **DS006** — an event crossing a shard-domain boundary with a delay
-//!   below the declared link lookahead. The sharded engine's conservative
-//!   windows are exactly as wide as the lookahead promises; an event that
-//!   undercuts its link can land inside a window the destination shard has
-//!   already executed past, so no deterministic order exists for it.
+//!   below the declared link lookahead. The engine's conservative windows
+//!   are exactly as wide as the lookahead promises; an event that undercuts
+//!   its link can land inside a window the destination shard has already
+//!   executed past, so no deterministic order exists for it.
 //! * **DS007** — replay divergence: two runs of one recorded workload
 //!   disagree on an event. The determinism contract says worker threads
 //!   decide *who computes*, never *what happened*, so any disagreement is a
@@ -41,11 +40,21 @@
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
 use coyote_chaos::FaultTrace;
-use coyote_sim::{SimDuration, TraceEntry, TracePhase};
+use coyote_sim::{ShardTrace, ShardTraceEntry, SimDuration};
 use std::collections::BTreeMap;
 
 fn loc(unit: &str, at_ps: u64) -> Location {
     Location::new(format!("trace:{unit}"), format!("t={at_ps}ps"))
+}
+
+/// An event's scheduling-independent name: `origin#origin_seq`.
+fn event_id(e: &ShardTraceEntry) -> String {
+    format!("{}#{}", e.origin, e.origin_seq)
+}
+
+fn event_ids(group: &[&ShardTraceEntry]) -> String {
+    let ids: Vec<String> = group.iter().map(|e| event_id(e)).collect();
+    format!("[{}]", ids.join(", "))
 }
 
 /// True if the priority multiset fails to impose a total order: some
@@ -58,38 +67,24 @@ fn no_total_order(mut priorities: Vec<Option<u8>>) -> bool {
     !all_declared || distinct.len() != priorities.len()
 }
 
-/// Analyze one recorded event trace for ordering hazards (DS001–DS003,
-/// DS005).
-pub fn lint_trace(unit: &str, trace: &[TraceEntry]) -> Report {
+/// Analyze one recorded execution trace for same-instant ordering hazards
+/// (DS001–DS003).
+pub fn lint_trace(unit: &str, trace: &ShardTrace) -> Report {
     let mut report = Report::new();
 
     // Bucket by timestamp. BTreeMap keeps diagnostics in time order.
-    let mut by_time: BTreeMap<u64, Vec<&TraceEntry>> = BTreeMap::new();
-    for e in trace {
-        by_time.entry(e.at.as_ps()).or_default().push(e);
+    let mut by_time: BTreeMap<u64, Vec<&ShardTraceEntry>> = BTreeMap::new();
+    for e in trace.entries() {
+        by_time.entry(e.at_ps).or_default().push(e);
     }
 
-    for (at_ps, entries) in by_time {
-        let events: Vec<&TraceEntry> = entries
-            .iter()
-            .copied()
-            .filter(|e| e.phase == TracePhase::Scheduled)
-            .collect();
-        let executed: Vec<&TraceEntry> = entries
-            .iter()
-            .copied()
-            .filter(|e| e.phase == TracePhase::Executed)
-            .collect();
-
-        // DS005 needs only the pops; the scheduling-side rules need >= 2
-        // pushes at one instant.
-        lint_pop_order(unit, at_ps, &executed, &mut report);
+    for (at_ps, events) in by_time {
         if events.len() < 2 {
             continue;
         }
 
         // DS001: same declared target, indistinct priorities.
-        let mut by_target: BTreeMap<u64, Vec<&TraceEntry>> = BTreeMap::new();
+        let mut by_target: BTreeMap<u64, Vec<&ShardTraceEntry>> = BTreeMap::new();
         let mut untargeted = 0usize;
         for e in &events {
             match e.target {
@@ -102,7 +97,6 @@ pub fn lint_trace(unit: &str, trace: &[TraceEntry]) -> Report {
                 continue;
             }
             if no_total_order(group.iter().map(|e| e.priority).collect()) {
-                let seqs: Vec<u64> = group.iter().map(|e| e.seq).collect();
                 report.push(
                     Diagnostic::new(
                         "DS001",
@@ -110,14 +104,13 @@ pub fn lint_trace(unit: &str, trace: &[TraceEntry]) -> Report {
                         loc(unit, at_ps),
                         format!(
                             "{} events at t={at_ps}ps target object {target} with no \
-                             deterministic tie-break (seqs {seqs:?}); execution order is an \
-                             accident of insertion order",
-                            group.len()
+                             deterministic tie-break (events {}); execution order is an \
+                             accident of scheduling order",
+                            group.len(),
+                            event_ids(group),
                         ),
                     )
-                    .with_suggestion(
-                        "schedule these with schedule_at_tagged and distinct priorities",
-                    ),
+                    .with_suggestion("give these events distinct EventTag priorities"),
                 );
             }
         }
@@ -125,7 +118,7 @@ pub fn lint_trace(unit: &str, trace: &[TraceEntry]) -> Report {
         // DS003: distinct targets, but a shared declared domain without a
         // total priority order across the domain's events. Same-target
         // pairs are DS001's jurisdiction; count each domain once.
-        let mut by_domain: BTreeMap<u64, Vec<&TraceEntry>> = BTreeMap::new();
+        let mut by_domain: BTreeMap<u64, Vec<&ShardTraceEntry>> = BTreeMap::new();
         for e in &events {
             if let Some(d) = e.domain {
                 by_domain.entry(d).or_default().push(e);
@@ -142,7 +135,6 @@ pub fn lint_trace(unit: &str, trace: &[TraceEntry]) -> Report {
                 continue; // Single target: DS001 covers it.
             }
             if no_total_order(group.iter().map(|e| e.priority).collect()) {
-                let seqs: Vec<u64> = group.iter().map(|e| e.seq).collect();
                 report.push(
                     Diagnostic::new(
                         "DS003",
@@ -150,9 +142,10 @@ pub fn lint_trace(unit: &str, trace: &[TraceEntry]) -> Report {
                         loc(unit, at_ps),
                         format!(
                             "{} events at t={at_ps}ps share domain {domain} across different \
-                             targets with no total priority order (seqs {seqs:?}); the \
-                             subsystem observes them in insertion order",
-                            group.len()
+                             targets with no total priority order (events {}); the \
+                             subsystem observes them in scheduling order",
+                            group.len(),
+                            event_ids(&group),
                         ),
                     )
                     .with_suggestion(
@@ -164,7 +157,7 @@ pub fn lint_trace(unit: &str, trace: &[TraceEntry]) -> Report {
         }
 
         // DS002: disjointness unprovable because targets are undeclared.
-        if untargeted > 0 && events.len() > 1 {
+        if untargeted > 0 {
             report.push(Diagnostic::new(
                 "DS002",
                 Severity::Info,
@@ -181,65 +174,23 @@ pub fn lint_trace(unit: &str, trace: &[TraceEntry]) -> Report {
     report
 }
 
-/// DS005: executed pops at one instant that contradict declared priorities.
-fn lint_pop_order(unit: &str, at_ps: u64, executed: &[&TraceEntry], report: &mut Report) {
-    // Compare each executed pair on the same target with both priorities
-    // declared and distinct: the lower priority number must pop first.
-    for (i, a) in executed.iter().enumerate() {
-        for b in &executed[i + 1..] {
-            let (Some(ta), Some(tb)) = (a.target, b.target) else {
-                continue;
-            };
-            if ta != tb {
-                continue;
-            }
-            let (Some(pa), Some(pb)) = (a.priority, b.priority) else {
-                continue;
-            };
-            // `a` popped before `b`.
-            if pa > pb {
-                report.push(
-                    Diagnostic::new(
-                        "DS005",
-                        Severity::Error,
-                        loc(unit, at_ps),
-                        format!(
-                            "pop order at t={at_ps}ps contradicts declared priorities on \
-                             target {ta}: priority {pa} (seq {}) ran before priority {pb} \
-                             (seq {}); the engine broke the tie by insertion order",
-                            a.seq, b.seq
-                        ),
-                    )
-                    .with_suggestion(
-                        "enqueue same-instant events in priority order, or split them \
-                         across distinct timestamps",
-                    ),
-                );
-            }
-        }
-    }
-}
-
 /// DS006: verify cross-shard events respect the declared link lookaheads.
 ///
 /// `lookaheads` is the topology's declaration table as produced by
 /// `coyote_sim::Topology::lookahead_decls`: `(src domain, dst domain,
-/// lookahead)` per directed link. Every `Scheduled` entry whose
-/// `src_domain` differs from its `domain` crossed a shard boundary; its
-/// scheduling delay `at - posted_at` must be at least the declared
-/// lookahead of that link (error), and the link itself must be declared at
-/// all (warning) — otherwise the conservative window cannot order the
-/// event and determinism across worker counts is forfeit.
+/// lookahead)` per directed link. Every entry whose `src_domain` differs
+/// from its `domain` crossed a shard boundary; its scheduling delay
+/// `at - posted_at` must be at least the declared lookahead of that link
+/// (error), and the link itself must be declared at all (warning) —
+/// otherwise the conservative window cannot order the event and determinism
+/// across worker counts is forfeit.
 pub fn lint_shard_lookahead(
     unit: &str,
-    trace: &[TraceEntry],
+    trace: &ShardTrace,
     lookaheads: &[(u64, u64, SimDuration)],
 ) -> Report {
     let mut report = Report::new();
-    for e in trace {
-        if e.phase != TracePhase::Scheduled {
-            continue;
-        }
+    for e in trace.entries() {
         let (Some(src), Some(dst)) = (e.src_domain, e.domain) else {
             continue;
         };
@@ -250,18 +201,18 @@ pub fn lint_shard_lookahead(
             .iter()
             .find(|&&(s, d, _)| s == src && d == dst)
             .map(|&(_, _, l)| l);
-        let delay = e.at.saturating_since(e.posted_at);
+        let delay = SimDuration(e.at_ps.saturating_sub(e.posted_at_ps));
         match declared {
             None => report.push(
                 Diagnostic::new(
                     "DS006",
                     Severity::Warning,
-                    loc(unit, e.at.as_ps()),
+                    loc(unit, e.at_ps),
                     format!(
-                        "event (seq {}) crossed shard domains {src:#x} -> {dst:#x} with no \
+                        "event {} crossed shard domains {src:#x} -> {dst:#x} with no \
                          declared link lookahead; the conservative window has no bound to \
                          order it under",
-                        e.seq
+                        event_id(e)
                     ),
                 )
                 .with_suggestion("declare the link (and its lookahead) in the shard topology"),
@@ -270,12 +221,12 @@ pub fn lint_shard_lookahead(
                 Diagnostic::new(
                     "DS006",
                     Severity::Error,
-                    loc(unit, e.at.as_ps()),
+                    loc(unit, e.at_ps),
                     format!(
-                        "event (seq {}) crossed shard domains {src:#x} -> {dst:#x} with delay \
+                        "event {} crossed shard domains {src:#x} -> {dst:#x} with delay \
                          {delay} below the declared link lookahead {lookahead}; it can land \
                          inside a window the destination shard already executed past",
-                        e.seq
+                        event_id(e)
                     ),
                 )
                 .with_suggestion(
@@ -338,7 +289,7 @@ pub fn lint_fault_trace(unit: &str, trace: &FaultTrace) -> Report {
 /// * `at_ps` — timestamp of the expected event at that index.
 /// * `detail` — rendered expected-vs-actual comparison.
 /// * `suspects` — the rule families the field-level diff implicates
-///   (e.g. `["DS001", "DS005"]` for a same-instant priority flip).
+///   (e.g. `["DS001"]` for a same-instant priority flip).
 pub fn lint_replay_divergence(
     unit: &str,
     index: usize,
@@ -374,110 +325,97 @@ pub fn lint_replay_divergence(
 mod tests {
     use super::*;
     use coyote_chaos::{Domain, FaultKind, TraceKind};
-    use coyote_sim::{EventTag, SimTime, Simulation};
+    use coyote_sim::{EventTag, SimTime};
 
-    fn traced<F: FnOnce(&mut Simulation<u64>)>(build: F) -> Vec<TraceEntry> {
-        let mut sim = Simulation::new(0u64);
-        sim.record_trace();
-        build(&mut sim);
-        let trace = sim.take_trace();
-        sim.run_until_idle();
-        trace
+    /// One executed event, as a live run or a decoded `.cyt` recording
+    /// holds it: scheduled at t=0 by shard 0.
+    fn ev(origin_seq: u64, at_ps: u64, tag: EventTag) -> ShardTraceEntry {
+        ShardTraceEntry {
+            shard: 0,
+            at_ps,
+            domain: tag.domain,
+            target: tag.target,
+            priority: tag.priority,
+            src_domain: tag.src_domain,
+            posted_at_ps: 0,
+            origin: 0,
+            origin_seq,
+        }
     }
 
-    /// Like [`traced`], but runs the simulation first so the trace includes
-    /// the executed pops (DS005's input).
-    fn traced_run<F: FnOnce(&mut Simulation<u64>)>(build: F) -> Vec<TraceEntry> {
-        let mut sim = Simulation::new(0u64);
-        sim.record_trace();
-        build(&mut sim);
-        sim.run_until_idle();
-        sim.take_trace()
+    fn trace(entries: Vec<ShardTraceEntry>) -> ShardTrace {
+        ShardTrace::merged(vec![entries])
     }
 
     #[test]
     fn conflicting_untiebroken_events_flagged() {
-        let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, None, |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, None, |w, _| *w *= 2);
-        });
-        let r = lint_trace("t", &trace);
+        let t = trace(vec![
+            ev(0, 500, EventTag::target(7)),
+            ev(1, 500, EventTag::target(7)),
+        ]);
+        let r = lint_trace("t", &t);
         assert_eq!(r.of_rule("DS001").count(), 1, "{}", r.render_human());
         assert!(r.has_errors());
+        let msg = &r.of_rule("DS001").next().unwrap().message;
+        assert!(msg.contains("events [0#0, 0#1]"), "{msg}");
     }
 
     #[test]
     fn distinct_priorities_are_deterministic() {
-        let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(0), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(1), |w, _| *w *= 2);
-        });
-        assert!(lint_trace("t", &trace).is_clean());
+        let t = trace(vec![
+            ev(0, 500, EventTag::target(7).priority(0)),
+            ev(1, 500, EventTag::target(7).priority(1)),
+        ]);
+        assert!(lint_trace("t", &t).is_clean());
     }
 
     #[test]
     fn equal_priorities_still_hazardous() {
-        let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(3), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(3), |w, _| *w *= 2);
-        });
-        assert_eq!(lint_trace("t", &trace).of_rule("DS001").count(), 1);
+        let t = trace(vec![
+            ev(0, 500, EventTag::target(7).priority(3)),
+            ev(1, 500, EventTag::target(7).priority(3)),
+        ]);
+        assert_eq!(lint_trace("t", &t).of_rule("DS001").count(), 1);
     }
 
     #[test]
     fn disjoint_targets_are_clean() {
-        let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 1, None, |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 2, None, |w, _| *w += 1);
-        });
-        assert!(lint_trace("t", &trace).is_clean());
+        let t = trace(vec![
+            ev(0, 500, EventTag::target(1)),
+            ev(1, 500, EventTag::target(2)),
+        ]);
+        assert!(lint_trace("t", &t).is_clean());
     }
 
     #[test]
     fn untargeted_coincidence_is_info_only() {
-        let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.schedule_at(at, |w, _| *w += 1);
-            sim.schedule_at(at, |w, _| *w += 1);
-        });
-        let r = lint_trace("t", &trace);
+        let t = trace(vec![
+            ev(0, 500, EventTag::default()),
+            ev(1, 500, EventTag::default()),
+        ]);
+        let r = lint_trace("t", &t);
         assert_eq!(r.of_rule("DS002").count(), 1);
         assert_eq!(r.max_severity(), Some(Severity::Info));
     }
 
     #[test]
     fn distinct_times_never_flagged() {
-        let trace = traced(|sim| {
-            sim.schedule_at(SimTime(1), |w, _| *w += 1);
-            sim.schedule_at(SimTime(2), |w, _| *w += 1);
-        });
-        assert!(lint_trace("t", &trace).is_clean());
+        let t = trace(vec![
+            ev(0, 1, EventTag::default()),
+            ev(1, 2, EventTag::default()),
+        ]);
+        assert!(lint_trace("t", &t).is_clean());
     }
 
     // ------------------------------------------------------------- DS003
 
     #[test]
     fn ds003_shared_domain_without_order_flagged() {
-        let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_with(at, EventTag::target(1).domain(9), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_with(at, EventTag::target(2).domain(9), |w, _| *w *= 2);
-        });
-        let r = lint_trace("t", &trace);
+        let t = trace(vec![
+            ev(0, 500, EventTag::target(1).domain(9)),
+            ev(1, 500, EventTag::target(2).domain(9)),
+        ]);
+        let r = lint_trace("t", &t);
         assert_eq!(r.of_rule("DS003").count(), 1, "{}", r.render_human());
         assert!(r.of_rule("DS001").next().is_none(), "targets are distinct");
         assert!(r.has_errors());
@@ -485,90 +423,31 @@ mod tests {
 
     #[test]
     fn ds003_clean_with_domain_wide_priorities() {
-        let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler().schedule_at_with(
-                at,
-                EventTag::target(1).priority(0).domain(9),
-                |w, _| *w += 1,
-            );
-            sim.scheduler().schedule_at_with(
-                at,
-                EventTag::target(2).priority(1).domain(9),
-                |w, _| *w *= 2,
-            );
-        });
-        assert!(lint_trace("t", &trace).is_clean());
+        let t = trace(vec![
+            ev(0, 500, EventTag::target(1).priority(0).domain(9)),
+            ev(1, 500, EventTag::target(2).priority(1).domain(9)),
+        ]);
+        assert!(lint_trace("t", &t).is_clean());
     }
 
     #[test]
     fn ds003_different_domains_are_clean() {
-        let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_with(at, EventTag::target(1).domain(9), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_with(at, EventTag::target(2).domain(10), |w, _| *w *= 2);
-        });
-        assert!(lint_trace("t", &trace).is_clean());
+        let t = trace(vec![
+            ev(0, 500, EventTag::target(1).domain(9)),
+            ev(1, 500, EventTag::target(2).domain(10)),
+        ]);
+        assert!(lint_trace("t", &t).is_clean());
     }
 
     #[test]
     fn ds003_same_target_defers_to_ds001() {
-        let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_with(at, EventTag::target(1).domain(9), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_with(at, EventTag::target(1).domain(9), |w, _| *w *= 2);
-        });
-        let r = lint_trace("t", &trace);
+        let t = trace(vec![
+            ev(0, 500, EventTag::target(1).domain(9)),
+            ev(1, 500, EventTag::target(1).domain(9)),
+        ]);
+        let r = lint_trace("t", &t);
         assert_eq!(r.of_rule("DS001").count(), 1);
         assert!(r.of_rule("DS003").next().is_none());
-    }
-
-    // ------------------------------------------------------------- DS005
-
-    #[test]
-    fn ds005_priority_inversion_at_pop_flagged() {
-        // Priority 1 inserted first => pops first; the declared intent
-        // (priority 0 first) loses to insertion order.
-        let trace = traced_run(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(1), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(0), |w, _| *w *= 2);
-        });
-        let r = lint_trace("t", &trace);
-        assert_eq!(r.of_rule("DS005").count(), 1, "{}", r.render_human());
-        assert!(r.has_errors());
-    }
-
-    #[test]
-    fn ds005_clean_when_insertion_matches_priority() {
-        let trace = traced_run(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(0), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(1), |w, _| *w *= 2);
-        });
-        assert!(lint_trace("t", &trace).is_clean());
-    }
-
-    #[test]
-    fn ds005_ignores_distinct_targets_and_undeclared_priorities() {
-        let trace = traced_run(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(1), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 8, Some(0), |w, _| *w *= 2);
-            sim.schedule_at(SimTime(600), |w, _| *w += 3);
-        });
-        let r = lint_trace("t", &trace);
-        assert!(r.of_rule("DS005").next().is_none(), "{}", r.render_human());
     }
 
     // ------------------------------------------------------------- DS004
@@ -617,30 +496,25 @@ mod tests {
 
     // ------------------------------------------------------------- DS006
 
-    use coyote_sim::SimDuration;
-
-    /// A sharded ping between two domains; with `delay` per post. The
-    /// sharded engine itself rejects below-lookahead posts at runtime, so
-    /// the hazardous trace is built through the serial engine, which is
-    /// exactly the "refactor escaped the shard API" case DS006 exists for.
-    fn cross_shard_trace(delay: SimDuration) -> Vec<TraceEntry> {
-        let mut sim = Simulation::new(0u64);
-        sim.record_trace();
-        sim.scheduler().schedule_at_with(
-            SimTime::ZERO + delay,
-            EventTag::target(1).domain(20).from_domain(10),
-            |w, _| *w += 1,
-        );
-        sim.run_until_idle();
-        sim.take_trace()
+    /// One event crossing from domain 10 to domain 20, posted at t=0 and
+    /// executed `delay` later. The engine itself rejects below-lookahead
+    /// posts at runtime, so a hazardous trace can only come from outside
+    /// it — a hand-edited or foreign recording — exactly the case DS006
+    /// exists for.
+    fn cross_shard_trace(delay: SimDuration) -> ShardTrace {
+        let tag = EventTag {
+            src_domain: Some(10),
+            ..EventTag::target(1).domain(20)
+        };
+        trace(vec![ev(0, delay.as_ps(), tag)])
     }
 
     const LINK_10_TO_20: (u64, u64, SimDuration) = (10, 20, SimDuration(5_000));
 
     #[test]
     fn ds006_below_lookahead_cross_shard_post_flagged() {
-        let trace = cross_shard_trace(SimDuration(4_999));
-        let r = lint_shard_lookahead("t", &trace, &[LINK_10_TO_20]);
+        let t = cross_shard_trace(SimDuration(4_999));
+        let r = lint_shard_lookahead("t", &t, &[LINK_10_TO_20]);
         assert_eq!(r.of_rule("DS006").count(), 1, "{}", r.render_human());
         assert!(r.has_errors());
     }
@@ -648,16 +522,16 @@ mod tests {
     #[test]
     fn ds006_at_or_above_lookahead_is_clean() {
         for delay in [5_000, 5_001, 1_000_000] {
-            let trace = cross_shard_trace(SimDuration(delay));
-            assert!(lint_shard_lookahead("t", &trace, &[LINK_10_TO_20]).is_clean());
+            let t = cross_shard_trace(SimDuration(delay));
+            assert!(lint_shard_lookahead("t", &t, &[LINK_10_TO_20]).is_clean());
         }
     }
 
     #[test]
     fn ds006_undeclared_link_is_a_warning() {
-        let trace = cross_shard_trace(SimDuration(5_000));
+        let t = cross_shard_trace(SimDuration(5_000));
         // Only the reverse link is declared.
-        let r = lint_shard_lookahead("t", &trace, &[(20, 10, SimDuration(5_000))]);
+        let r = lint_shard_lookahead("t", &t, &[(20, 10, SimDuration(5_000))]);
         assert_eq!(r.of_rule("DS006").count(), 1);
         assert_eq!(r.max_severity(), Some(Severity::Warning));
         assert!(!r.has_errors());
@@ -665,23 +539,20 @@ mod tests {
 
     #[test]
     fn ds006_ignores_local_and_untagged_events() {
-        let trace = traced_run(|sim| {
-            // Local (same domain both sides) and untagged events are not
-            // shard crossings.
-            sim.scheduler().schedule_at_with(
-                SimTime(100),
-                EventTag::target(1).domain(10).from_domain(10),
-                |w, _| *w += 1,
-            );
-            sim.schedule_at(SimTime(100), |w, _| *w += 1);
-        });
-        assert!(lint_shard_lookahead("t", &trace, &[LINK_10_TO_20]).is_clean());
+        // Local (same domain both sides) and untagged events are not
+        // shard crossings.
+        let local = EventTag {
+            src_domain: Some(10),
+            ..EventTag::target(1).domain(10)
+        };
+        let t = trace(vec![ev(0, 100, local), ev(1, 100, EventTag::default())]);
+        assert!(lint_shard_lookahead("t", &t, &[LINK_10_TO_20]).is_clean());
     }
 
     #[test]
     fn ds006_reads_sharded_engine_traces() {
-        // The sharded engine's own trace export is DS006-clean by
-        // construction: post_after refuses below-lookahead delays.
+        // The engine's own traces are DS006-clean by construction:
+        // post_after refuses below-lookahead delays.
         use coyote_sim::{ShardSpec, ShardedSimulation, Topology};
         let mut topo = Topology::new();
         topo.add_shard(ShardSpec {
@@ -705,7 +576,8 @@ mod tests {
         })
         .unwrap();
         sim.run_with_workers(2);
-        let trace = sim.take_trace().to_trace_entries();
+        let trace = sim.take_trace();
+        assert_eq!(trace.entries()[1].src_domain, Some(10), "one real crossing");
         assert!(lint_shard_lookahead("sharded", &trace, &decls).is_clean());
     }
 }

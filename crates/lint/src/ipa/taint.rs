@@ -308,7 +308,7 @@ fn span_taint(
     // Candidate causes with their token positions; earliest wins.
     let mut best: Option<(usize, TaintInfo)> = None;
     let mut consider = |pos: usize, info: TaintInfo| {
-        if best.as_ref().is_none_or(|(p, _)| pos < *p) {
+        if best.as_ref().map_or(true, |(p, _)| pos < *p) {
             best = Some((pos, info));
         }
     };

@@ -274,14 +274,6 @@ pub const CATALOG: &[RuleInfo] = &[
              FaultTrace::merged, so the published hash depends on collection order",
     },
     RuleInfo {
-        id: "DS005",
-        layer: Layer::Des,
-        severity: Severity::Error,
-        description:
-            "executed pop order contradicts declared same-instant priorities (the engine \
-             broke the tie by insertion order)",
-    },
-    RuleInfo {
         id: "DS006",
         layer: Layer::Des,
         severity: Severity::Error,

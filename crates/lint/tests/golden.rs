@@ -15,7 +15,9 @@ use coyote_lint::{
     lint_shell_spec, lint_source, lint_trace, DeployContext, PartitionDemand, Report, Severity,
     ShellSpec,
 };
+use coyote_sim::{EventTag, ShardTrace, ShardTraceEntry, SimDuration, DOMAIN_DMA, DOMAIN_NET};
 use coyote_synth::{CellKind, Net, Netlist};
+use std::collections::BTreeSet;
 
 fn fixture(name: &str) -> ShellSpec {
     let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -520,27 +522,41 @@ fn bs006_device_mismatch() {
 
 // -------------------------------------------------------------------- des
 
+/// One executed event, as a live run or a decoded `.cyt` recording holds
+/// it: scheduled at t=0 by shard 0.
+fn event(origin_seq: u64, at_ps: u64, tag: EventTag) -> ShardTraceEntry {
+    ShardTraceEntry {
+        shard: 0,
+        at_ps,
+        domain: tag.domain,
+        target: tag.target,
+        priority: tag.priority,
+        src_domain: tag.src_domain,
+        posted_at_ps: 0,
+        origin: 0,
+        origin_seq,
+    }
+}
+
+fn des_trace(entries: Vec<ShardTraceEntry>) -> ShardTrace {
+    ShardTrace::merged(vec![entries])
+}
+
 #[test]
 fn ds001_ordering_hazard() {
-    let mut sim = coyote_sim::Simulation::new(0u64);
-    sim.record_trace();
-    let at = coyote_sim::SimTime(500);
-    sim.scheduler()
-        .schedule_at_tagged(at, 9, None, |w: &mut u64, _| *w += 1);
-    sim.scheduler()
-        .schedule_at_tagged(at, 9, None, |w: &mut u64, _| *w *= 2);
-    let trace = sim.take_trace();
+    let trace = des_trace(vec![
+        event(0, 500, EventTag::target(9)),
+        event(1, 500, EventTag::target(9)),
+    ]);
     assert_fires(&lint_trace("qp", &trace), "DS001", "trace:qp", "t=500ps");
 }
 
 #[test]
 fn ds002_undeclared_targets() {
-    let mut sim = coyote_sim::Simulation::new(0u64);
-    sim.record_trace();
-    let at = coyote_sim::SimTime(500);
-    sim.schedule_at(at, |w: &mut u64, _| *w += 1);
-    sim.schedule_at(at, |w: &mut u64, _| *w += 1);
-    let trace = sim.take_trace();
+    let trace = des_trace(vec![
+        event(0, 500, EventTag::default()),
+        event(1, 500, EventTag::default()),
+    ]);
     let r = lint_trace("qp", &trace);
     assert_fires(&r, "DS002", "trace:qp", "t=500ps");
     assert_eq!(r.max_severity(), Some(Severity::Info));
@@ -548,31 +564,21 @@ fn ds002_undeclared_targets() {
 
 #[test]
 fn clean_trace_produces_zero_diagnostics() {
-    let mut sim = coyote_sim::Simulation::new(0u64);
-    sim.record_trace();
-    let at = coyote_sim::SimTime(500);
-    sim.scheduler()
-        .schedule_at_tagged(at, 9, Some(0), |w: &mut u64, _| *w += 1);
-    sim.scheduler()
-        .schedule_at_tagged(at, 9, Some(1), |w: &mut u64, _| *w *= 2);
-    sim.scheduler()
-        .schedule_at_tagged(at, 10, None, |w: &mut u64, _| *w += 3);
-    let trace = sim.take_trace();
+    let trace = des_trace(vec![
+        event(0, 500, EventTag::target(9).priority(0)),
+        event(1, 500, EventTag::target(9).priority(1)),
+        event(2, 500, EventTag::target(10)),
+    ]);
     let r = lint_trace("qp", &trace);
     assert!(r.is_clean(), "{}", r.render_human());
 }
 
 #[test]
 fn ds003_shared_domain_without_total_order() {
-    use coyote_sim::EventTag;
-    let mut sim = coyote_sim::Simulation::new(0u64);
-    sim.record_trace();
-    let at = coyote_sim::SimTime(750);
-    sim.scheduler()
-        .schedule_at_with(at, EventTag::target(1).domain(40), |w: &mut u64, _| *w += 1);
-    sim.scheduler()
-        .schedule_at_with(at, EventTag::target(2).domain(40), |w: &mut u64, _| *w *= 2);
-    let trace = sim.take_trace();
+    let trace = des_trace(vec![
+        event(0, 750, EventTag::target(1).domain(40)),
+        event(1, 750, EventTag::target(2).domain(40)),
+    ]);
     let r = lint_trace("switch", &trace);
     assert_fires(&r, "DS003", "trace:switch", "t=750ps");
     assert!(r.has_errors());
@@ -628,24 +634,6 @@ fn ds004_concatenated_fault_trace() {
 }
 
 #[test]
-fn ds005_pop_order_contradicts_priorities() {
-    // Insert the priority-1 event first: the engine pops by (time, seq),
-    // so it runs before the priority-0 event — declared intent loses.
-    let mut sim = coyote_sim::Simulation::new(0u64);
-    sim.record_trace();
-    let at = coyote_sim::SimTime(900);
-    sim.scheduler()
-        .schedule_at_tagged(at, 5, Some(1), |w: &mut u64, _| *w += 1);
-    sim.scheduler()
-        .schedule_at_tagged(at, 5, Some(0), |w: &mut u64, _| *w *= 2);
-    sim.run_until_idle();
-    let trace = sim.take_trace();
-    let r = lint_trace("qp", &trace);
-    assert_fires(&r, "DS005", "trace:qp", "t=900ps");
-    assert!(r.has_errors());
-}
-
-#[test]
 fn ds007_replay_divergence() {
     // The bisector found event[17] of the platform-storm recording differing
     // in priority; the diagnostic must land at the canonical trace location
@@ -655,7 +643,7 @@ fn ds007_replay_divergence() {
         17,
         4200,
         "expected priority=9, actual priority=8 (at=4200ps target=3)",
-        &["DS001", "DS005"],
+        &["DS001", "DS003"],
     );
     assert_fires(&r, "DS007", "trace:platform-storm", "t=4200ps");
     assert!(r.has_errors());
@@ -665,7 +653,7 @@ fn ds007_replay_divergence() {
         d.suggestion
             .as_deref()
             .unwrap_or("")
-            .contains("DS001/DS005"),
+            .contains("DS001/DS003"),
         "suggestion names the suspect families: {:?}",
         d.suggestion
     );
@@ -680,38 +668,22 @@ fn ds006_below_lookahead_shard_crossing() {
     // An event crossing from the net shard domain to the DMA shard domain
     // with a 1ns delay, against a link that promises 5ns lookahead: the
     // conservative window cannot order it.
-    let mut sim = coyote_sim::Simulation::new(0u64);
-    sim.record_trace();
-    sim.scheduler().schedule_at_with(
-        coyote_sim::SimTime(1_000),
-        coyote_sim::EventTag::target(3)
-            .domain(coyote_sim::DOMAIN_DMA)
-            .from_domain(coyote_sim::DOMAIN_NET),
-        |w: &mut u64, _| *w += 1,
+    let crossing = EventTag {
+        src_domain: Some(DOMAIN_NET),
+        ..EventTag::target(3).domain(DOMAIN_DMA)
+    };
+    let decls = [(DOMAIN_NET, DOMAIN_DMA, SimDuration::from_ns(5))];
+    let r = lint_shard_lookahead(
+        "shards",
+        &des_trace(vec![event(0, 1_000, crossing)]),
+        &decls,
     );
-    sim.run_until_idle();
-    let trace = sim.take_trace();
-    let decls = [(
-        coyote_sim::DOMAIN_NET,
-        coyote_sim::DOMAIN_DMA,
-        coyote_sim::SimDuration::from_ns(5),
-    )];
-    let r = lint_shard_lookahead("shards", &trace, &decls);
     assert_fires(&r, "DS006", "trace:shards", "t=1000ps");
     assert!(r.has_errors());
 
     // The same crossing at the declared lookahead is clean.
-    let mut sim = coyote_sim::Simulation::new(0u64);
-    sim.record_trace();
-    sim.scheduler().schedule_at_with(
-        coyote_sim::SimTime(5_000),
-        coyote_sim::EventTag::target(3)
-            .domain(coyote_sim::DOMAIN_DMA)
-            .from_domain(coyote_sim::DOMAIN_NET),
-        |w: &mut u64, _| *w += 1,
-    );
-    sim.run_until_idle();
-    assert!(lint_shard_lookahead("shards", &sim.take_trace(), &decls).is_clean());
+    let trace = des_trace(vec![event(0, 5_000, crossing)]);
+    assert!(lint_shard_lookahead("shards", &trace, &decls).is_clean());
 }
 
 // ----------------------------------------------------- source (detlint)
@@ -964,22 +936,16 @@ fn every_catalog_rule_has_golden_coverage() {
         "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP001", "FP002", "FP003",
         "FP004", "FP005", "FP006", "FP007", "BS001", "BS002", "BS003", "BS004", "BS005", "BS006",
         "CF001", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008", "CF009", "DS001",
-        "DS002", "DS003", "DS004", "DS005", "DS006", "DS007", "SRC001", "SRC002", "SRC003",
-        "SRC004", "SRC005", "SRC006", "SRC007", "PG001", "PG002", "WF001", "WF002", "WF003",
-        "WF004", "CAP001", "CAP002", "CAP003", "ISO001", "ISO002", "IPA001", "IPA002", "IPA003",
-        "IPA004", "IPA005",
+        "DS002", "DS003", "DS004", "DS006", "DS007", "SRC001", "SRC002", "SRC003", "SRC004",
+        "SRC005", "SRC006", "SRC007", "PG001", "PG002", "WF001", "WF002", "WF003", "WF004",
+        "CAP001", "CAP002", "CAP003", "ISO001", "ISO002", "IPA001", "IPA002", "IPA003", "IPA004",
+        "IPA005",
     ];
-    assert!(
-        coyote_lint::CATALOG.len() >= 58,
-        "the catalog must not shrink below the interprocedural-rule count"
-    );
-    for rule in coyote_lint::CATALOG {
-        assert!(
-            covered.contains(&rule.id),
-            "rule {} has no golden test",
-            rule.id
-        );
-    }
+    // Both ways: a catalog rule without a golden test fails, and so does a
+    // covered id whose rule left the catalog.
+    let covered: BTreeSet<&str> = covered.into_iter().collect();
+    let catalog: BTreeSet<&str> = coyote_lint::CATALOG.iter().map(|r| r.id).collect();
+    assert_eq!(covered, catalog, "golden coverage must match the catalog");
     // And the bad/clean fixture pair exists on disk for every source rule.
     for n in 1..=7 {
         for kind in ["bad", "clean"] {

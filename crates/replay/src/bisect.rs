@@ -15,38 +15,16 @@
 use crate::format::Recording;
 use coyote_lint::Report;
 use coyote_sim::{
-    ShardTrace, ShardTraceEntry, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET, DOMAIN_SCHED,
+    fnv, ShardTrace, ShardTraceEntry, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET, DOMAIN_SCHED,
 };
-
-/// Fold one entry into a running FNV-64, mirroring [`ShardTrace::hash`]'s
-/// field order exactly (so the full-trace prefix hash equals the trace
-/// hash).
-fn fold_entry(mut h: u64, e: &ShardTraceEntry) -> u64 {
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(e.shard as u64);
-    mix(e.at_ps);
-    mix(e.domain.map_or(u64::MAX, |d| d));
-    mix(e.target.map_or(u64::MAX, |t| t));
-    mix(e.priority.map_or(u64::MAX, u64::from));
-    mix(e.src_domain.map_or(u64::MAX, |d| d));
-    mix(e.posted_at_ps);
-    mix(e.origin as u64);
-    mix(e.origin_seq);
-    h
-}
 
 /// Per-prefix FNV-64 hashes: `out[i]` covers the first `i` entries.
 fn prefix_hashes(entries: &[ShardTraceEntry]) -> Vec<u64> {
     let mut out = Vec::with_capacity(entries.len() + 1);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = fnv::OFFSET;
     out.push(h);
     for e in entries {
-        h = fold_entry(h, e);
+        h = e.fold_hash(h);
         out.push(h);
     }
     out
@@ -136,18 +114,18 @@ fn render_entry(e: &ShardTraceEntry) -> String {
 }
 
 /// The rule families a field-level diff implicates. Same instant with a
-/// differing tie-break field smells like the same-instant ordering rules;
-/// differing times smell like source-level scheduling nondeterminism; a
-/// missing event smells like diverged control flow.
+/// differing domain or target (but one priority) smells like a shared
+/// domain without a total order; any other same-instant diff, a priority
+/// flip included, smells like an untiebroken same-target pair; differing
+/// times smell like source-level scheduling nondeterminism; a missing event
+/// smells like diverged control flow.
 fn suspect_families(
     expected: Option<&ShardTraceEntry>,
     actual: Option<&ShardTraceEntry>,
 ) -> Vec<&'static str> {
     match (expected, actual) {
         (Some(e), Some(a)) if e.at_ps == a.at_ps => {
-            if e.priority != a.priority {
-                vec!["DS001", "DS005"]
-            } else if e.domain != a.domain || e.target != a.target {
+            if e.priority == a.priority && (e.domain != a.domain || e.target != a.target) {
                 vec!["DS003"]
             } else {
                 vec!["DS001"]
@@ -340,6 +318,8 @@ mod tests {
         let full = ShardTrace::merged([base]);
         assert_eq!(first_divergence(&full, &shorter), Some(shorter.len()));
         assert_eq!(first_divergence(&full, &full.clone()), None);
+        // The last prefix hash is the trace hash.
+        assert_eq!(prefix_hashes(full.entries()).last(), Some(&full.hash()));
     }
 
     #[test]
@@ -355,7 +335,7 @@ mod tests {
         let (e, x) = (f.expected.unwrap(), f.actual.unwrap());
         assert_eq!(e.event_key().at, x.event_key().at);
         assert_ne!(e.event_key().priority, x.event_key().priority);
-        assert!(f.suspects.contains(&"DS001") && f.suspects.contains(&"DS005"));
+        assert_eq!(f.suspects, ["DS001"], "a priority flip is DS001's");
         // The report is a DS007 error at the canonical trace location.
         let d = f.report.of_rule("DS007").next().expect("DS007 fires");
         assert_eq!(d.location.unit, "trace:platform-storm");

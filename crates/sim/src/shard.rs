@@ -1,11 +1,10 @@
-//! The sharded conservative parallel DES engine.
+//! The discrete-event engine: conservative, sharded, deterministic.
 //!
-//! [`crate::Simulation`] runs one global event queue on one thread. This
-//! module scales the same event model the way the simulated hardware scales:
-//! the shell is a set of concurrent domains (network stack, DMA engines,
-//! reconfiguration fabric, scheduler), so the simulation becomes a set of
+//! The shell is a set of concurrent domains (network stack, DMA engines,
+//! reconfiguration fabric, scheduler), so the simulation is a set of
 //! [`ShardedSimulation`] *shards*, one per domain, each owning its own event
-//! queue, clock and world.
+//! queue, clock and world. A one-shard [`Topology`] is the serial engine:
+//! one queue, one clock, one world, no synchronization.
 //!
 //! Synchronization is conservative (null-message style, see
 //! [`crate::window`]): execution proceeds in rounds. Each round, every shard
@@ -28,8 +27,8 @@
 //!   topology; worker threads only decide *who executes a window*, never
 //!   *what is in it*.
 //! * The per-shard execution traces merge canonically ([`ShardTrace::merged`]
-//!   mirrors `coyote_chaos::FaultTrace::merged`) and hash with the same
-//!   FNV-64 scheme, so one `u64` fingerprint pins the whole run.
+//!   mirrors `coyote_chaos::FaultTrace::merged`) and hash with the shared
+//!   [`crate::fnv`] fold, so one `u64` fingerprint pins the whole run.
 //!
 //! Worker threads are spawned once per [`ShardedSimulation::run`] and parked
 //! on their command channels between rounds — windows reuse the pool instead
@@ -38,11 +37,53 @@
 use std::collections::BinaryHeap;
 use std::sync::mpsc;
 
-use crate::engine::EventTag;
+use crate::fnv;
 use crate::par::thread_budget;
 use crate::time::{SimDuration, SimTime};
 use crate::window::{horizons, ShardId, Topology, TopologyError};
-use crate::{TraceEntry, TracePhase};
+
+/// Full determinism tagging for one event: the component it mutates, an
+/// explicit same-instant priority, and the subsystem domain it belongs to.
+///
+/// Built fluently: `EventTag::target(7).priority(0).domain(DOMAIN_NET)`.
+/// Every field is optional; declared fields order same-instant events (see
+/// [`EventKey`]) and are what the DES determinism lint audits.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventTag {
+    /// Component the event mutates.
+    pub target: Option<u64>,
+    /// Same-instant priority; lower runs first.
+    pub priority: Option<u8>,
+    /// Subsystem domain (net, DMA, MMU, ...); lets the lint reason about
+    /// ordering across targets that share state through one subsystem.
+    pub domain: Option<u64>,
+    /// Domain of the shard that *posted* the event, when it crossed a shard
+    /// boundary. Owned by the engine: [`ShardCtx::post_after`] sets it, and
+    /// local schedules and seeds clear it. Feeds the DS006 lookahead lint.
+    pub src_domain: Option<u64>,
+}
+
+impl EventTag {
+    /// Tag declaring only the mutated component.
+    pub fn target(target: u64) -> EventTag {
+        EventTag {
+            target: Some(target),
+            ..EventTag::default()
+        }
+    }
+
+    /// Declare the same-instant priority.
+    pub fn priority(mut self, priority: u8) -> EventTag {
+        self.priority = Some(priority);
+        self
+    }
+
+    /// Declare the subsystem domain.
+    pub fn domain(mut self, domain: u64) -> EventTag {
+        self.domain = Some(domain);
+        self
+    }
+}
 
 /// The body of a shard event: runs against the shard's world and a context
 /// that can schedule locally or post across shards.
@@ -228,6 +269,25 @@ impl ShardTraceEntry {
             origin_seq: self.origin_seq,
         }
     }
+
+    /// Fold this entry's canonical field encoding into the running FNV-64
+    /// `h`. [`ShardTrace::hash`] is this fold over every entry, so the
+    /// replay bisector's per-prefix hashes end at the trace hash.
+    pub fn fold_hash(&self, h: u64) -> u64 {
+        [
+            self.shard as u64,
+            self.at_ps,
+            self.domain.unwrap_or(u64::MAX),
+            self.target.unwrap_or(u64::MAX),
+            self.priority.map_or(u64::MAX, u64::from),
+            self.src_domain.unwrap_or(u64::MAX),
+            self.posted_at_ps,
+            self.origin as u64,
+            self.origin_seq,
+        ]
+        .into_iter()
+        .fold(h, fnv::fold_u64)
+    }
 }
 
 /// An ordered execution record with a deterministic hash: the artifact the
@@ -264,52 +324,11 @@ impl ShardTrace {
         self.entries.is_empty()
     }
 
-    /// FNV-64 hash over the canonical field encoding — same constants as
-    /// `coyote_chaos::FaultTrace::hash`, so CI can publish one number per
+    /// FNV-64 hash over the canonical field encoding (see
+    /// [`ShardTraceEntry::fold_hash`]), so CI can publish one number per
     /// run. Same seeds + same topology => same hash, on any worker count.
     pub fn hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        for e in &self.entries {
-            mix(e.shard as u64);
-            mix(e.at_ps);
-            mix(e.domain.map_or(u64::MAX, |d| d));
-            mix(e.target.map_or(u64::MAX, |t| t));
-            mix(e.priority.map_or(u64::MAX, u64::from));
-            mix(e.src_domain.map_or(u64::MAX, |d| d));
-            mix(e.posted_at_ps);
-            mix(e.origin as u64);
-            mix(e.origin_seq);
-        }
-        h
-    }
-
-    /// Re-express the trace as the serial engine's [`TraceEntry`] stream
-    /// (one `Scheduled` + one `Executed` per event, in canonical order) so
-    /// the DES lint rules — including the DS006 lookahead check — apply to
-    /// sharded runs unchanged.
-    pub fn to_trace_entries(&self) -> Vec<TraceEntry> {
-        let mut out = Vec::with_capacity(self.entries.len() * 2);
-        for (seq, e) in self.entries.iter().enumerate() {
-            for phase in [TracePhase::Scheduled, TracePhase::Executed] {
-                out.push(TraceEntry {
-                    at: SimTime(e.at_ps),
-                    seq: seq as u64,
-                    target: e.target,
-                    priority: e.priority,
-                    domain: e.domain,
-                    src_domain: e.src_domain,
-                    posted_at: SimTime(e.posted_at_ps),
-                    phase,
-                });
-            }
-        }
-        out
+        self.entries.iter().fold(fnv::OFFSET, |h, e| e.fold_hash(h))
     }
 }
 
@@ -349,7 +368,8 @@ impl<W> ShardCtx<'_, W> {
     }
 
     /// Schedule a local event at absolute time `at`. The tag's domain
-    /// defaults to the shard's own.
+    /// defaults to the shard's own; a local event crossed no shard
+    /// boundary, so any `src_domain` is cleared.
     ///
     /// # Panics
     ///
@@ -367,6 +387,7 @@ impl<W> ShardCtx<'_, W> {
         if tag.domain.is_none() {
             tag.domain = Some(self.domain);
         }
+        tag.src_domain = None;
         let origin_seq = self.next_seq();
         self.queue.push(Queued {
             key: EventKey::new(at, tag, self.shard, origin_seq),
@@ -596,6 +617,7 @@ impl<W: Send> ShardedSimulation<W> {
     }
 
     /// Seed an event onto the shard owning `domain` at absolute time `at`.
+    /// Like a local schedule, a seed clears any `src_domain`.
     pub fn seed<F>(
         &mut self,
         domain: u64,
@@ -615,6 +637,7 @@ impl<W: Send> ShardedSimulation<W> {
         if tag.domain.is_none() {
             tag.domain = Some(domain);
         }
+        tag.src_domain = None;
         let origin_seq = shard.seq;
         shard.seq += 1;
         shard.queue.push(Queued {
@@ -997,6 +1020,44 @@ mod tests {
         let end = sim.run_with_workers(1);
         assert_eq!(sim.world_of(1).unwrap(), &[1, 2, 3]);
         assert_eq!(end.as_ps(), 6_000);
+    }
+
+    #[test]
+    fn local_events_record_no_src_domain() {
+        // Seeds and local schedules cross no shard boundary, so a
+        // caller-set src_domain is cleared; the declared fields are kept.
+        let foreign = EventTag {
+            src_domain: Some(2),
+            ..EventTag::target(3).priority(1)
+        };
+        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]).unwrap();
+        sim.record_trace();
+        sim.seed(1, SimTime::ZERO, foreign, move |_, ctx| {
+            ctx.schedule_after(SimDuration::from_ns(1), foreign, |_, _| {});
+            ctx.schedule_after(SimDuration::from_ns(2), EventTag::default(), |_, _| {});
+        })
+        .unwrap();
+        sim.run_with_workers(1);
+        let trace = sim.take_trace();
+        let fields: Vec<_> = trace
+            .entries()
+            .iter()
+            .map(|e| (e.at_ps, e.target, e.priority, e.domain, e.src_domain))
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                (0, Some(3), Some(1), Some(1), None),
+                (1_000, Some(3), Some(1), Some(1), None),
+                (2_000, None, None, Some(1), None),
+            ]
+        );
+        // Taking drains the trace; recording continues.
+        assert!(sim.take_trace().is_empty());
+        sim.seed(1, sim.now(), EventTag::default(), |_, _| {})
+            .unwrap();
+        sim.run_with_workers(1);
+        assert_eq!(sim.take_trace().len(), 1);
     }
 
     #[test]

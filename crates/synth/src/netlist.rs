@@ -192,6 +192,8 @@ impl Netlist {
 
     /// Stable content digest (identifies the design in bitstream headers).
     pub fn digest(&self) -> u64 {
+        // Not `coyote_sim::fnv`: this folds whole words, not bytes, and the
+        // value is baked into every bitstream header.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut absorb = |v: u64| {
             h ^= v;

@@ -27,9 +27,7 @@ fn pattern(len: usize, seed: u8) -> Vec<u8> {
 
 /// FNV-64 over a byte slice (the `data_integrity` checksum idiom).
 fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-    })
+    coyote_sim::fnv::fold_bytes(coyote_sim::fnv::OFFSET, bytes)
 }
 
 /// Two commodity NICs on ports 0 and 1 of a switch, QPs 100 <-> 200, with

@@ -1,17 +1,12 @@
-//! Driving the platform from the discrete-event engine: a periodic
-//! telemetry workload scheduled as events, with the platform embedded as
-//! the simulation world.
+//! Driving the platform on a simulated-time schedule: a periodic telemetry
+//! workload issued tick by tick, each tick advancing the platform clock to
+//! its instant. `Platform` holds `Box<dyn Kernel>` and is not `Send`, so it
+//! cannot be an event-engine shard world; a plain loop over the tick times
+//! is the schedule.
 
 use coyote::kernel::Passthrough;
 use coyote::{CThread, Oper, Platform, SgEntry, ShellConfig};
-use coyote_sim::{SimDuration, Simulation};
-
-struct World {
-    platform: Platform,
-    thread: CThread,
-    sg: SgEntry,
-    submitted: u32,
-}
+use coyote_sim::{SimDuration, SimTime};
 
 #[test]
 fn periodic_invocations_from_the_event_loop() {
@@ -25,37 +20,29 @@ fn periodic_invocations_from_the_event_loop() {
     thread
         .write(&mut platform, src, &vec![7u8; 64 * 1024])
         .unwrap();
+    let sg = SgEntry::local(src, dst, 64 * 1024);
 
-    let world = World {
-        platform,
-        thread,
-        sg: SgEntry::local(src, dst, 64 * 1024),
-        submitted: 0,
-    };
-    let mut sim = Simulation::new(world);
     // A telemetry tick every 100 us: each tick advances the platform clock
-    // to the event time and queues one transfer.
+    // to the tick time and queues one transfer.
+    let mut submitted = 0;
     for i in 0..20u64 {
-        sim.schedule_after(SimDuration::from_us(100 * i), |w: &mut World, s| {
-            w.platform.advance_to(s.now());
-            w.thread
-                .invoke(&mut w.platform, Oper::LocalTransfer, &w.sg)
-                .unwrap();
-            w.submitted += 1;
-        });
+        platform.advance_to(SimTime::ZERO + SimDuration::from_us(100 * i));
+        thread
+            .invoke(&mut platform, Oper::LocalTransfer, &sg)
+            .unwrap();
+        submitted += 1;
     }
-    sim.run_until_idle();
-    assert_eq!(sim.world.submitted, 20);
+    assert_eq!(submitted, 20);
 
     // Execute the queued work; completions must respect the staggered
-    // issue times (each tick's invocation was issued at its event time).
-    let completions = sim.world.platform.drain().unwrap();
+    // issue times (each tick's invocation was issued at its tick time).
+    let completions = platform.drain().unwrap();
     assert_eq!(completions.len(), 20);
     for (i, c) in completions.iter().enumerate() {
         assert_eq!(
             c.issued_at.as_ps() / 1_000_000,
             (i as u64) * 100,
-            "issue times follow the event schedule"
+            "issue times follow the tick schedule"
         );
         assert!(c.completed_at > c.issued_at);
     }

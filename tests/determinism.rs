@@ -20,12 +20,7 @@ use coyote_sim::SimTime;
 use coyote_synth::{Ip, IpBlock};
 
 fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    coyote_sim::fnv::fold_bytes(coyote_sim::fnv::OFFSET, bytes)
 }
 
 /// Everything observable from one 4-vFPGA shell build, digested.

@@ -7,8 +7,8 @@
 //!    at 1, 4 and 8 workers, and survives a serialize/decode cycle.
 //! 2. **Bisection** — a deliberately broken tie-break (the `perturb`
 //!    config) produces traces whose *exact* first divergent
-//!    [`coyote_sim::EventKey`] the bisector must name, with the DS001/DS005
-//!    tie-break rule family as suspects.
+//!    [`coyote_sim::EventKey`] the bisector must name, with the DS001
+//!    tie-break rule family as suspect.
 //! 3. **Fail closed** — truncated or corrupted `.cyt` files decode to
 //!    typed errors, never to a plausible-but-wrong recording.
 //!
@@ -65,10 +65,10 @@ fn bisect_names_the_exact_first_divergent_event_key() {
     let actual = finding.actual.expect("entry on the parallel side");
     assert_eq!(expected.at_ps, actual.at_ps, "same instant, different tag");
     assert_ne!(expected.priority, actual.priority, "the flipped tie-break");
-    assert!(
-        finding.suspects.contains(&"DS001") && finding.suspects.contains(&"DS005"),
-        "tie-break divergence must suspect the ordering rule family, got {:?}",
-        finding.suspects
+    assert_eq!(
+        finding.suspects,
+        ["DS001"],
+        "tie-break divergence must suspect the ordering rule family"
     );
     // The rendered diagnosis goes through coyote-lint's DS007 rule.
     assert!(finding.report.render_human().contains("DS007"));

@@ -12,15 +12,15 @@
 //!    ([`Domain::shard_domain`]) and replay bit-identically there at any
 //!    worker count.
 //! 4. (property) The sharded engine at any worker count computes exactly
-//!    what a single-queue serial [`Simulation`] computes for the same
-//!    workload — same final worlds — and its own serial/parallel runs are
-//!    bit-identical down to the canonical trace fingerprint.
+//!    the final worlds an engine-free reference computes for the same
+//!    workload, and its own serial/parallel runs are bit-identical down to
+//!    the canonical trace fingerprint.
 
 use coyote::platform_topology;
 use coyote_chaos::{Domain, FaultPlan};
 use coyote_sim::{
-    EventTag, PostError, ShardCtx, ShardSpec, ShardedSimulation, SimDuration, SimTime, Simulation,
-    Topology, TopologyError, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET, DOMAIN_SCHED,
+    EventTag, PostError, ShardCtx, ShardSpec, ShardedSimulation, SimDuration, SimTime, Topology,
+    TopologyError, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET, DOMAIN_SCHED,
 };
 use proptest::prelude::*;
 
@@ -245,7 +245,8 @@ fn chaos_fault_lands_on_the_owning_shard_and_replays_bit_identically() {
     }
 }
 
-/// One hop of the random workload, shared verbatim by both engines: fold a
+/// One hop of the random workload, shared verbatim by the engine and the
+/// reference: fold a
 /// commutative digest of (time, target, priority) into the domain's world,
 /// then hop to the next domain after exactly `step`.
 fn fold(worlds: &mut [u64; 4], idx: usize, at: SimTime, target: u64, priority: u8) {
@@ -312,45 +313,33 @@ fn sharded_run(
     (worlds, sim.take_trace().hash())
 }
 
-/// The same workload on the single-queue serial engine: one `Simulation`
-/// whose world is the four per-domain accumulators.
-fn single_queue_run(jobs: &[(usize, u64, u64, u8, u8)], step: SimDuration) -> [u64; 4] {
-    let mut sim = Simulation::new([0u64; 4]);
-
-    fn hop(
-        idx: usize,
-        hops_left: u8,
-        target: u64,
-        priority: u8,
-        step: SimDuration,
-    ) -> impl FnOnce(&mut [u64; 4], &mut coyote_sim::Scheduler<[u64; 4]>) + 'static {
-        move |w, sched| {
-            fold(w, idx, sched.now(), target, priority);
-            if hops_left > 0 {
-                let next = (idx + 1 + (target as usize % 3)) % 4;
-                sched.schedule_after(
-                    step,
-                    hop(
-                        next,
-                        hops_left - 1,
-                        mix(target),
-                        priority.wrapping_add(17),
-                        step,
-                    ),
-                );
-            }
+/// The same workload without an event engine: each hop's (domain, time,
+/// target, priority) follows from its predecessor alone, and `fold` is
+/// commutative, so a plain worklist visited in any order yields the worlds
+/// any correct engine must produce.
+fn reference_run(jobs: &[(usize, u64, u64, u8, u8)], step: SimDuration) -> [u64; 4] {
+    let mut worlds = [0u64; 4];
+    let mut work: Vec<(usize, SimTime, u64, u8, u8)> = jobs
+        .iter()
+        .map(|&(domain_idx, start_ns, target, priority, hops)| {
+            let at = SimTime::ZERO + SimDuration::from_ns(start_ns);
+            (domain_idx % 4, at, target, priority, hops)
+        })
+        .collect();
+    while let Some((idx, at, target, priority, hops_left)) = work.pop() {
+        fold(&mut worlds, idx, at, target, priority);
+        if hops_left > 0 {
+            let next = (idx + 1 + (target as usize % 3)) % 4;
+            work.push((
+                next,
+                at + step,
+                mix(target),
+                priority.wrapping_add(17),
+                hops_left - 1,
+            ));
         }
     }
-
-    for &(domain_idx, start_ns, target, priority, hops) in jobs {
-        let idx = domain_idx % 4;
-        sim.schedule_at(
-            SimTime::ZERO + SimDuration::from_ns(start_ns),
-            hop(idx, hops, target, priority, step),
-        );
-    }
-    sim.run_until_idle();
-    sim.world
+    worlds
 }
 
 proptest! {
@@ -358,7 +347,7 @@ proptest! {
 
     /// For any random workload: the sharded engine is bit-identical across
     /// worker counts (worlds AND canonical trace fingerprint), and its
-    /// worlds match the single-queue serial engine's exactly.
+    /// worlds match the engine-free reference exactly.
     #[test]
     fn sharded_matches_single_queue_and_itself(
         jobs in prop::collection::vec(
@@ -372,6 +361,6 @@ proptest! {
         for workers in [2, 4, 8] {
             prop_assert_eq!(sharded_run(workers, &jobs, step), serial);
         }
-        prop_assert_eq!(single_queue_run(&jobs, step), serial.0);
+        prop_assert_eq!(reference_run(&jobs, step), serial.0);
     }
 }
