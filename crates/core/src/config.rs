@@ -20,7 +20,7 @@ pub const DEFAULT_MAX_RECONFIG_BATCH: usize = 8;
 /// Default number of reconfiguration batches that may be in flight against
 /// one completion ring at once. The single-driver deployments of §6 submit
 /// one batch at a time; fleet-style deployments sharing a ring across
-/// tenants raise this, and the completion ring must scale with it (CF009).
+/// tenants raise this, and the completion ring must scale with it (WF001).
 pub const DEFAULT_MAX_CONCURRENT_RECONFIGS: usize = 1;
 
 /// Which service groups the shell carries.
@@ -62,13 +62,13 @@ pub struct ShellConfig {
     pub reconfig_ring_slots: usize,
     /// Largest frame-run batch a single reconfiguration submission may
     /// post. Must fit the ring: the engine writes one completion per
-    /// in-flight run and stalls when the ring is full (CF009).
+    /// in-flight run and stalls when the ring is full (WF001).
     pub max_reconfig_batch: usize,
     /// Reconfiguration batches that may be in flight against the shared
     /// completion ring concurrently. The ring must hold
     /// `max_reconfig_batch * max_concurrent_reconfigs` completions or a
-    /// full fleet submission wedges the ICAP engine on writeback (CF009,
-    /// and the WF001 wait-for cycle in `coyote-lint --platform`).
+    /// full fleet submission wedges the ICAP engine on writeback: the
+    /// `coyote-lint` wait-for cycle WF001.
     pub max_concurrent_reconfigs: usize,
 }
 
@@ -79,8 +79,10 @@ pub enum ConfigError {
     BadVfpgaCount(u8),
     /// Sniffer requires the networking service.
     SnifferWithoutNetwork,
-    /// Stream counts must be 1..=16.
+    /// Host stream counts must be 1..=16.
     BadStreamCount(u8),
+    /// Card stream counts must be 0..=16.
+    BadCardStreamCount(u8),
     /// More memory channels than the card has.
     TooManyChannels(usize),
 }
@@ -93,6 +95,9 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "the traffic sniffer requires the networking service")
             }
             ConfigError::BadStreamCount(n) => write!(f, "{n} streams (1-16 supported)"),
+            ConfigError::BadCardStreamCount(n) => {
+                write!(f, "{n} card streams (0-16 supported)")
+            }
             ConfigError::TooManyChannels(n) => write!(f, "{n} memory channels not available"),
         }
     }
@@ -188,7 +193,8 @@ impl ShellConfig {
     /// completion-ring entries and at most `max_batch` frame runs per
     /// submission. A ring smaller than the batch deadlocks by construction
     /// (the engine stalls on writeback while software waits on the
-    /// doorbell) — `coyote-lint` refuses such a shell as CF009.
+    /// doorbell) — `coyote-lint` refuses such a shell as the wait-for
+    /// cycle WF001.
     pub fn with_reconfig_ring(mut self, ring_slots: usize, max_batch: usize) -> ShellConfig {
         self.reconfig_ring_slots = ring_slots;
         self.max_reconfig_batch = max_batch;
@@ -201,17 +207,6 @@ impl ShellConfig {
     pub fn with_reconfig_concurrency(mut self, concurrency: usize) -> ShellConfig {
         self.max_concurrent_reconfigs = concurrency;
         self
-    }
-
-    /// The wait facts of the reconfiguration control plane, in the form
-    /// the driver exports them: the static precondition for the
-    /// software -> doorbell -> engine -> ring hold-and-wait cycle.
-    pub fn ring_wait_facts(&self) -> coyote_driver::RingWaitFacts {
-        coyote_driver::RingWaitFacts {
-            slots: self.reconfig_ring_slots,
-            max_batch: self.max_reconfig_batch,
-            concurrent: self.max_concurrent_reconfigs.max(1),
-        }
     }
 
     /// This node's MAC address on the simulated fabric.
@@ -234,6 +229,9 @@ impl ShellConfig {
         }
         if self.n_host_streams == 0 || self.n_host_streams > 16 {
             return Err(ConfigError::BadStreamCount(self.n_host_streams));
+        }
+        if self.n_card_streams > 16 {
+            return Err(ConfigError::BadCardStreamCount(self.n_card_streams));
         }
         let max_ch = coyote_sim::params::HBM_CHANNELS;
         if self.services.memory_channels > max_ch {
@@ -337,6 +335,9 @@ mod tests {
         let mut cfg = ShellConfig::host_only(1);
         cfg.n_host_streams = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::BadStreamCount(0)));
+        let mut cfg = ShellConfig::host_memory(1, 16);
+        cfg.n_card_streams = 17;
+        assert_eq!(cfg.validate(), Err(ConfigError::BadCardStreamCount(17)));
         let mut cfg = ShellConfig::host_memory(1, 64);
         cfg.services.memory_channels = 64;
         assert_eq!(cfg.validate(), Err(ConfigError::TooManyChannels(64)));

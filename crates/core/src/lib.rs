@@ -67,4 +67,4 @@ pub use platform::{Platform, PlatformError, VfpgaState};
 pub use rdma::BalboaService;
 pub use reconfig::CRcnfg;
 pub use scheduler::AppScheduler;
-pub use shard::{platform_lookaheads, platform_shards, platform_topology};
+pub use shard::{egress_lookahead, platform_shards, platform_topology};

@@ -342,6 +342,14 @@ mod tests {
     #[test]
     fn load_validates_config() {
         assert!(Platform::load(ShellConfig::host_only(0)).is_err());
+        let mut wide = ShellConfig::host_memory(1, 16);
+        wide.n_card_streams = 17;
+        assert!(matches!(
+            Platform::load(wide),
+            Err(PlatformError::Config(
+                crate::config::ConfigError::BadCardStreamCount(17)
+            ))
+        ));
         let p = Platform::load(ShellConfig::host_only(2)).unwrap();
         assert_eq!(p.config().n_vfpgas, 2);
         assert!(

@@ -10,26 +10,42 @@
 //! elsewhere). Every lookahead is strictly positive by construction, so the
 //! topology always validates and the conservative windows always open.
 
-use coyote_sim::{ShardSpec, SimDuration, Topology};
+use coyote_sim::params::{ICAP_BW, INVOKE_SW_OVERHEAD, PCIE_LATENCY, SWITCH_LATENCY, WIRE_LATENCY};
+use coyote_sim::{
+    ShardSpec, SimDuration, Topology, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET, DOMAIN_SCHED,
+};
 
-/// The four platform shards, in canonical order (net, dma, fabric, sched).
-pub fn platform_shards() -> [ShardSpec; 4] {
+/// The platform shard table, in canonical order: each domain shard with its
+/// egress lookahead.
+///
+/// * `net` — RoCE stack, switch fabric and QPs: nothing leaves the domain
+///   faster than one wire plus one switch traversal.
+/// * `dma` — XDMA engine, writeback table, MSI-X path and the MMU (which
+///   shares the PCIe/host-memory substrate): one PCIe round through the
+///   hardened block.
+/// * `fabric` — ICAP controller, bitstream parsing and configuration
+///   state: the ICAP is the slowest actor, and nothing it does is
+///   observable elsewhere faster than one 4 KiB configuration-frame burst.
+/// * `sched` — packetization, interleaving and crediting: control-plane
+///   decisions reach other subsystems no faster than one software
+///   invocation overhead.
+pub fn platform_shards() -> [(ShardSpec, SimDuration); 4] {
+    let shard = |domain, name| ShardSpec { domain, name };
     [
-        coyote_net::shard::shard_spec(),
-        coyote_dma::shard::shard_spec(),
-        coyote_fabric::shard::shard_spec(),
-        coyote_sched::shard::shard_spec(),
+        (shard(DOMAIN_NET, "net"), WIRE_LATENCY + SWITCH_LATENCY),
+        (shard(DOMAIN_DMA, "dma"), PCIE_LATENCY),
+        (shard(DOMAIN_FABRIC, "fabric"), ICAP_BW.time_for(4096)),
+        (shard(DOMAIN_SCHED, "sched"), INVOKE_SW_OVERHEAD),
     ]
 }
 
-/// Per-shard egress lookaheads, aligned with [`platform_shards`].
-pub fn platform_lookaheads() -> [SimDuration; 4] {
-    [
-        coyote_net::shard::shard_lookahead(),
-        coyote_dma::shard::shard_lookahead(),
-        coyote_fabric::shard::shard_lookahead(),
-        coyote_sched::shard::shard_lookahead(),
-    ]
+/// Egress lookahead out of a platform domain (`None` for any other domain):
+/// the legal minimum delay of a post from that domain to another shard.
+pub fn egress_lookahead(domain: u64) -> Option<SimDuration> {
+    platform_shards()
+        .into_iter()
+        .find(|(spec, _)| spec.domain == domain)
+        .map(|(_, lookahead)| lookahead)
 }
 
 /// The full platform topology: all four domain shards, fully connected,
@@ -37,11 +53,10 @@ pub fn platform_lookaheads() -> [SimDuration; 4] {
 pub fn platform_topology() -> Topology {
     let mut topo = Topology::new();
     let shards = platform_shards();
-    let lookaheads = platform_lookaheads();
-    for spec in shards {
+    for (spec, _) in shards {
         topo.add_shard(spec).expect("platform domains are unique");
     }
-    for (src, la) in lookaheads.iter().enumerate() {
+    for (src, (_, la)) in shards.iter().enumerate() {
         for dst in 0..shards.len() {
             if src != dst {
                 topo.link(src, dst, *la)
@@ -84,14 +99,15 @@ mod tests {
     #[test]
     fn lookaheads_follow_source_egress() {
         let topo = platform_topology();
-        let las = platform_lookaheads();
         // Every link out of shard s promises s's egress lookahead.
-        for (src, la) in las.iter().enumerate() {
+        for (src, (spec, la)) in platform_shards().iter().enumerate() {
+            assert_eq!(egress_lookahead(spec.domain), Some(*la));
             for dst in 0..topo.len() {
                 if src != dst {
                     assert_eq!(topo.lookahead(src, dst), Some(*la));
                 }
             }
         }
+        assert_eq!(egress_lookahead(0), None);
     }
 }

@@ -46,7 +46,7 @@ pub enum ReconfigError {
     },
     /// The batch holds more frame runs than the completion ring has slots:
     /// the engine would stall on writeback while software waits for the
-    /// batch — deadlock by construction (lint rule CF009 catches this in
+    /// batch — deadlock by construction (lint rule WF001 catches this in
     /// the shell config; this is the runtime guard).
     RingTooSmall {
         /// Completion-ring capacity.

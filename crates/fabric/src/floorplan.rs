@@ -89,8 +89,8 @@ pub struct Partition {
 /// Floorplan validation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FloorplanError {
-    /// A partition extends beyond the device grid.
-    OutOfBounds(PartitionId),
+    /// A partition (with its rectangle) extends beyond the device grid.
+    OutOfBounds(PartitionId, Rect),
     /// Static/shell partitions overlap, or two vFPGA regions overlap.
     Overlap(PartitionId, PartitionId),
     /// A vFPGA region is not contained in the shell.
@@ -104,7 +104,7 @@ pub enum FloorplanError {
 impl std::fmt::Display for FloorplanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FloorplanError::OutOfBounds(p) => write!(f, "partition {p:?} out of bounds"),
+            FloorplanError::OutOfBounds(p, _) => write!(f, "partition {p:?} out of bounds"),
             FloorplanError::Overlap(a, b) => write!(f, "partitions {a:?} and {b:?} overlap"),
             FloorplanError::VfpgaOutsideShell(v) => {
                 write!(f, "vFPGA {v} region not contained in the shell")
@@ -239,35 +239,46 @@ impl Floorplan {
             .count() as u8
     }
 
-    /// Check geometric invariants.
+    /// Check geometric invariants, stopping at the first violation (the
+    /// first entry of [`Floorplan::violations`]).
     pub fn validate(&self, device: &Device) -> Result<(), FloorplanError> {
+        self.violations(device)
+            .into_iter()
+            .next()
+            .map_or(Ok(()), Err)
+    }
+
+    /// Every violated geometric invariant: a missing shell, partitions out
+    /// of the device grid, duplicate ids, vFPGA regions outside the shell,
+    /// a static region overlapping the shell, and overlapping vFPGA
+    /// regions. Checks that need the shell rectangle are skipped without
+    /// one.
+    pub fn violations(&self, device: &Device) -> Vec<FloorplanError> {
         let bounds = Rect::new(0, 0, device.cols(), device.rows());
-        let shell = self
-            .partition(PartitionId::Shell)
-            .ok_or(FloorplanError::MissingShell)?
-            .rect;
+        let shell = self.partition(PartitionId::Shell).map(|p| p.rect);
+        let mut errors = Vec::new();
+        if shell.is_none() {
+            errors.push(FloorplanError::MissingShell);
+        }
         for (i, p) in self.partitions.iter().enumerate() {
             if !bounds.contains(&p.rect) {
-                return Err(FloorplanError::OutOfBounds(p.id));
+                errors.push(FloorplanError::OutOfBounds(p.id, p.rect));
             }
             if self.partitions.iter().skip(i + 1).any(|q| q.id == p.id) {
-                return Err(FloorplanError::Duplicate(p.id));
+                errors.push(FloorplanError::Duplicate(p.id));
             }
+            let Some(shell) = shell else { continue };
             match p.id {
-                PartitionId::Vfpga(v) => {
-                    if !shell.contains(&p.rect) {
-                        return Err(FloorplanError::VfpgaOutsideShell(v));
-                    }
+                PartitionId::Vfpga(v) if !shell.contains(&p.rect) => {
+                    errors.push(FloorplanError::VfpgaOutsideShell(v));
                 }
-                PartitionId::Static => {
-                    if p.rect.overlaps(&shell) {
-                        return Err(FloorplanError::Overlap(
-                            PartitionId::Static,
-                            PartitionId::Shell,
-                        ));
-                    }
+                PartitionId::Static if p.rect.overlaps(&shell) => {
+                    errors.push(FloorplanError::Overlap(
+                        PartitionId::Static,
+                        PartitionId::Shell,
+                    ));
                 }
-                PartitionId::Shell => {}
+                _ => {}
             }
         }
         // vFPGA regions must be mutually disjoint.
@@ -279,11 +290,11 @@ impl Floorplan {
         for (i, a) in vfpgas.iter().enumerate() {
             for b in vfpgas.iter().skip(i + 1) {
                 if a.rect.overlaps(&b.rect) {
-                    return Err(FloorplanError::Overlap(a.id, b.id));
+                    errors.push(FloorplanError::Overlap(a.id, b.id));
                 }
             }
         }
-        Ok(())
+        errors
     }
 
     /// Tiles covered by a partition's bitstream. For the shell this is the
@@ -431,6 +442,46 @@ mod tests {
         );
         let dev = Device::new(DeviceKind::U55C);
         assert_eq!(fp.validate(&dev), Err(FloorplanError::MissingShell));
+    }
+
+    #[test]
+    fn violations_lists_every_error_and_validate_returns_the_first() {
+        let oob = Rect::new(30, 40, 90, 110);
+        let fp = Floorplan::custom(
+            DeviceKind::U55C,
+            vec![
+                Partition {
+                    id: PartitionId::Static,
+                    rect: Rect::new(0, 0, 10, 100),
+                },
+                Partition {
+                    id: PartitionId::Shell,
+                    rect: Rect::new(8, 0, 60, 100),
+                },
+                Partition {
+                    id: PartitionId::Vfpga(0),
+                    rect: Rect::new(20, 0, 40, 60),
+                },
+                Partition {
+                    id: PartitionId::Vfpga(1),
+                    rect: oob,
+                },
+            ],
+        );
+        let dev = Device::new(DeviceKind::U55C);
+        let all = fp.violations(&dev);
+        assert_eq!(
+            all,
+            vec![
+                FloorplanError::Overlap(PartitionId::Static, PartitionId::Shell),
+                FloorplanError::OutOfBounds(PartitionId::Vfpga(1), oob),
+                FloorplanError::VfpgaOutsideShell(1),
+                FloorplanError::Overlap(PartitionId::Vfpga(0), PartitionId::Vfpga(1)),
+            ]
+        );
+        assert_eq!(fp.validate(&dev), Err(all[0].clone()));
+        let preset = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostMemoryNetwork, 4);
+        assert!(preset.violations(&dev).is_empty());
     }
 
     #[test]

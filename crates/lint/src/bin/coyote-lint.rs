@@ -4,20 +4,18 @@
 //! ```text
 //! coyote-lint [OPTIONS] <PATH>...
 //!
-//! PATHs ending in .json are shell specifications; .bin are bitstreams.
-//! With --source, PATHs are .rs files or directories scanned recursively
+//! PATHs ending in .json are shell specifications, each given one pass
+//! over every spec rule family (config, floorplan, netlist and the
+//! PG/WF/CAP/ISO platform families); a directory is scanned for its .json
+//! specs in sorted order. PATHs ending in .bin are bitstreams. With --source, PATHs are .rs files or directories scanned recursively
 //! (the coyote-detlint determinism analyzer, SRC001-SRC007). With --ipa,
 //! PATHs are workspace roots (or .rs files) analyzed as one call graph:
 //! interprocedural taint from the SRC nondeterminism classes to the
 //! determinism sinks, plus the suppression-drift audit (IPA001-IPA005).
-//! With --platform, PATHs are shell specs (or directories of them)
-//! analyzed as whole platforms: the cross-layer resource graph plus the
-//! PG/WF/CAP/ISO rule families.
 //!
 //! Options:
 //!   --source        treat paths as Rust source (files or directories)
 //!   --ipa           interprocedural taint analysis of a workspace root
-//!   --platform      whole-platform analysis of shell specs (files or dirs)
 //!   --json          machine-readable JSON report on stdout
 //!   --allow <RULE>  suppress a rule (repeatable)
 //!   --deny <RULE>   promote a rule to error severity (repeatable)
@@ -31,13 +29,13 @@
 //! ```
 
 use coyote_lint::{
-    lint_bitstream, lint_ipa_sources, lint_ipa_workspace, lint_platform, lint_shell_spec,
-    lint_source, lint_source_tree, LintConfig, Report, ShellSpec,
+    lint_bitstream, lint_ipa_sources, lint_ipa_workspace, lint_shell_spec, lint_source,
+    lint_source_tree, LintConfig, Report, ShellSpec,
 };
 use std::path::Path;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: coyote-lint [--source|--ipa|--platform] [--json] [--allow RULE]... \
+const USAGE: &str = "usage: coyote-lint [--source|--ipa] [--json] [--allow RULE]... \
                      [--deny RULE]... [--strict] [--catalog] <path>...";
 
 fn main() -> ExitCode {
@@ -45,7 +43,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut source = false;
     let mut ipa = false;
-    let mut platform = false;
     let mut strict = false;
     let mut config = LintConfig::new();
     let mut paths: Vec<String> = Vec::new();
@@ -56,7 +53,6 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--source" => source = true,
             "--ipa" => ipa = true,
-            "--platform" => platform = true,
             "--strict" => strict = true,
             "--catalog" => {
                 print!("{}", coyote_lint::render_catalog());
@@ -100,8 +96,6 @@ fn main() -> ExitCode {
             lint_ipa_path(path)
         } else if source {
             lint_source_path(path)
-        } else if platform {
-            lint_platform_path(path)
         } else {
             lint_path(path)
         };
@@ -132,20 +126,6 @@ fn main() -> ExitCode {
 }
 
 fn lint_path(path: &str) -> Result<Report, String> {
-    if path.ends_with(".json") {
-        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        let spec = ShellSpec::from_json(&text).map_err(|e| format!("bad shell spec: {e}"))?;
-        Ok(lint_shell_spec(&spec))
-    } else if path.ends_with(".bin") {
-        let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-        let name = path.rsplit('/').next().unwrap_or(path);
-        Ok(lint_bitstream(name, &bytes, None))
-    } else {
-        Err("unsupported file type (expected .json shell spec or .bin bitstream)".to_string())
-    }
-}
-
-fn lint_platform_path(path: &str) -> Result<Report, String> {
     let p = Path::new(path);
     if p.is_dir() {
         // Deterministic scan order: sorted .json entries.
@@ -160,15 +140,23 @@ fn lint_platform_path(path: &str) -> Result<Report, String> {
         }
         let mut report = Report::new();
         for spec in specs {
-            report.extend(lint_platform_path(&spec.to_string_lossy())?);
+            report.extend(lint_path(&spec.to_string_lossy())?);
         }
         Ok(report)
     } else if path.ends_with(".json") {
         let text = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
         let spec = ShellSpec::from_json(&text).map_err(|e| format!("bad shell spec: {e}"))?;
-        Ok(lint_platform(&spec))
+        Ok(lint_shell_spec(&spec))
+    } else if path.ends_with(".bin") {
+        let bytes = std::fs::read(p).map_err(|e| e.to_string())?;
+        let name = path.rsplit('/').next().unwrap_or(path);
+        Ok(lint_bitstream(name, &bytes, None))
     } else {
-        Err("unsupported platform path (expected a .json shell spec or a directory)".to_string())
+        Err(
+            "unsupported path (expected a .json shell spec, a directory of them, or a .bin \
+             bitstream)"
+                .to_string(),
+        )
     }
 }
 

@@ -1,12 +1,12 @@
 //! Floorplan / partition design rules (FP001–FP007).
 //!
-//! Geometry checks mirror `Floorplan::validate` but keep going after the
-//! first violation and report *all* of them as diagnostics; on top of that
-//! come the resource-budget check (demand vs. the device's column grid) and
-//! the clock-region discipline check.
+//! Geometry is checked once, by `Floorplan::violations`; FP001–FP005 map
+//! each violation it reports to a diagnostic. On top of that come the
+//! resource-budget check (demand vs. the device's column grid, FP006) and
+//! the clock-region discipline check (FP007).
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
-use coyote_fabric::{Device, Floorplan, PartitionId, Rect, ResourceVec};
+use coyote_fabric::{Device, Floorplan, FloorplanError, PartitionId, ResourceVec};
 
 /// Rows per clock region on the modeled UltraScale+-style grid (100-row
 /// devices split into 4 horizontal clock regions, like the real parts'
@@ -37,124 +37,94 @@ pub struct PartitionDemand {
     pub design: String,
 }
 
+/// The FP001–FP005 diagnostic for one geometry violation.
+fn geometry_diagnostic(device: &Device, e: FloorplanError) -> Diagnostic {
+    let at = |id: PartitionId| loc(device, pid(id));
+    match e {
+        FloorplanError::OutOfBounds(id, r) => Diagnostic::new(
+            "FP001",
+            Severity::Error,
+            at(id),
+            format!(
+                "partition {} spans cols {}..{} rows {}..{} but the {} grid is {}x{} tiles",
+                pid(id),
+                r.col0,
+                r.col1,
+                r.row0,
+                r.row1,
+                device.kind().name(),
+                device.cols(),
+                device.rows()
+            ),
+        ),
+        FloorplanError::Overlap(PartitionId::Static, _) => Diagnostic::new(
+            "FP002",
+            Severity::Error,
+            at(PartitionId::Static),
+            "static and shell partitions overlap",
+        ),
+        FloorplanError::Overlap(a, b) => Diagnostic::new(
+            "FP002",
+            Severity::Error,
+            loc(device, format!("{}+{}", pid(a), pid(b))),
+            format!("{} and {} overlap", pid(a), pid(b)),
+        ),
+        FloorplanError::VfpgaOutsideShell(v) => Diagnostic::new(
+            "FP003",
+            Severity::Error,
+            at(PartitionId::Vfpga(v)),
+            format!("vFPGA {v} region is not contained in the shell rectangle"),
+        ),
+        FloorplanError::MissingShell => Diagnostic::new(
+            "FP004",
+            Severity::Error,
+            at(PartitionId::Shell),
+            "floorplan defines no shell partition — nothing can be reconfigured",
+        )
+        .with_suggestion("add a Partition { id: Shell, .. } covering the dynamic region"),
+        FloorplanError::Duplicate(id) => Diagnostic::new(
+            "FP005",
+            Severity::Error,
+            at(id),
+            format!("partition id {} appears more than once", pid(id)),
+        ),
+    }
+}
+
 /// Run every floorplan rule. `demands` may be empty (geometry-only lint).
 pub fn lint_floorplan(fp: &Floorplan, device: &Device, demands: &[PartitionDemand]) -> Report {
     let mut report = Report::new();
-    let bounds = Rect::new(0, 0, device.cols(), device.rows());
-    let parts = fp.partitions();
-
-    // FP004: a shell partition must exist.
-    let shell = fp.partition(PartitionId::Shell).map(|p| p.rect);
-    if shell.is_none() {
-        report.push(
-            Diagnostic::new(
-                "FP004",
-                Severity::Error,
-                loc(device, "shell".to_string()),
-                "floorplan defines no shell partition — nothing can be reconfigured",
-            )
-            .with_suggestion("add a Partition { id: Shell, .. } covering the dynamic region"),
-        );
+    for e in fp.violations(device) {
+        report.push(geometry_diagnostic(device, e));
     }
 
-    for (i, p) in parts.iter().enumerate() {
-        // FP001: bounds.
-        if !bounds.contains(&p.rect) {
-            report.push(Diagnostic::new(
-                "FP001",
-                Severity::Error,
-                loc(device, pid(p.id)),
-                format!(
-                    "partition {} spans cols {}..{} rows {}..{} but the {} grid is {}x{} tiles",
-                    pid(p.id),
-                    p.rect.col0,
-                    p.rect.col1,
-                    p.rect.row0,
-                    p.rect.row1,
-                    device.kind().name(),
-                    device.cols(),
-                    device.rows()
-                ),
-            ));
-        }
-        // FP005: duplicates.
-        if parts.iter().skip(i + 1).any(|q| q.id == p.id) {
-            report.push(Diagnostic::new(
-                "FP005",
-                Severity::Error,
-                loc(device, pid(p.id)),
-                format!("partition id {} appears more than once", pid(p.id)),
-            ));
-        }
-        match p.id {
-            PartitionId::Vfpga(v) => {
-                // FP003: containment in the shell.
-                if let Some(shell) = shell {
-                    if !shell.contains(&p.rect) {
-                        report.push(Diagnostic::new(
-                            "FP003",
-                            Severity::Error,
-                            loc(device, pid(p.id)),
-                            format!("vFPGA {v} region is not contained in the shell rectangle"),
-                        ));
-                    }
-                }
-                // FP007: clock-region discipline. A region is fine if it
-                // lies inside one clock region or if both edges sit on
-                // region boundaries; anything else straddles.
-                let r0 = p.rect.row0;
-                let r1 = p.rect.row1;
-                let same_region = (r0 / CLOCK_REGION_ROWS) == ((r1 - 1) / CLOCK_REGION_ROWS);
-                let aligned = r0 % CLOCK_REGION_ROWS == 0 && r1 % CLOCK_REGION_ROWS == 0;
-                if !same_region && !aligned {
-                    report.push(
-                        Diagnostic::new(
-                            "FP007",
-                            Severity::Warning,
-                            loc(device, pid(p.id)),
-                            format!(
-                                "vFPGA {v} rows {r0}..{r1} straddle a clock-region boundary \
-                                 (regions are {CLOCK_REGION_ROWS} rows); partial clock regions \
-                                 complicate routing and clock gating"
-                            ),
-                        )
-                        .with_suggestion(format!(
-                            "align region rows to multiples of {CLOCK_REGION_ROWS}"
-                        )),
-                    );
-                }
-            }
-            PartitionId::Static => {
-                if let Some(shell) = shell {
-                    if p.rect.overlaps(&shell) {
-                        report.push(Diagnostic::new(
-                            "FP002",
-                            Severity::Error,
-                            loc(device, "static".to_string()),
-                            "static and shell partitions overlap",
-                        ));
-                    }
-                }
-            }
-            PartitionId::Shell => {}
-        }
-    }
-
-    // FP002: vFPGA regions must be pairwise disjoint.
-    let vfpgas: Vec<_> = parts
-        .iter()
-        .filter(|p| matches!(p.id, PartitionId::Vfpga(_)))
-        .collect();
-    for (i, a) in vfpgas.iter().enumerate() {
-        for b in vfpgas.iter().skip(i + 1) {
-            if a.rect.overlaps(&b.rect) {
-                report.push(Diagnostic::new(
-                    "FP002",
-                    Severity::Error,
-                    loc(device, format!("{}+{}", pid(a.id), pid(b.id))),
-                    format!("{} and {} overlap", pid(a.id), pid(b.id)),
-                ));
-            }
+    // FP007: clock-region discipline. A region is fine if it lies inside
+    // one clock region or if both edges sit on region boundaries; anything
+    // else straddles.
+    for p in fp.partitions() {
+        let PartitionId::Vfpga(v) = p.id else {
+            continue;
+        };
+        let r0 = p.rect.row0;
+        let r1 = p.rect.row1;
+        let same_region = (r0 / CLOCK_REGION_ROWS) == ((r1 - 1) / CLOCK_REGION_ROWS);
+        let aligned = r0 % CLOCK_REGION_ROWS == 0 && r1 % CLOCK_REGION_ROWS == 0;
+        if !same_region && !aligned {
+            report.push(
+                Diagnostic::new(
+                    "FP007",
+                    Severity::Warning,
+                    loc(device, pid(p.id)),
+                    format!(
+                        "vFPGA {v} rows {r0}..{r1} straddle a clock-region boundary \
+                         (regions are {CLOCK_REGION_ROWS} rows); partial clock regions \
+                         complicate routing and clock gating"
+                    ),
+                )
+                .with_suggestion(format!(
+                    "align region rows to multiples of {CLOCK_REGION_ROWS}"
+                )),
+            );
         }
     }
 
@@ -198,7 +168,7 @@ pub fn lint_floorplan(fp: &Floorplan, device: &Device, demands: &[PartitionDeman
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coyote_fabric::{DeviceKind, Partition, ShellProfile};
+    use coyote_fabric::{DeviceKind, Partition, Rect, ShellProfile};
 
     #[test]
     fn preset_floorplans_are_clean() {

@@ -204,8 +204,15 @@ mod tests {
 
     #[test]
     fn each_source_class_is_recognized() {
-        assert_eq!(src("m.iter().collect()", &["m"]), Some(SourceClass::HashIter));
-        assert_eq!(src("m.iter().collect()", &[]), None, "only hash-bound names");
+        assert_eq!(
+            src("m.iter().collect()", &["m"]),
+            Some(SourceClass::HashIter)
+        );
+        assert_eq!(
+            src("m.iter().collect()", &[]),
+            None,
+            "only hash-bound names"
+        );
         assert_eq!(src("Instant::now()", &[]), Some(SourceClass::WallClock));
         assert_eq!(src("rand::thread_rng()", &[]), Some(SourceClass::Entropy));
         assert_eq!(
@@ -217,7 +224,11 @@ mod tests {
             src("par_map(xs, |x| x as f64 * 1.5)", &[]),
             Some(SourceClass::ParFloat)
         );
-        assert_eq!(src("par_map(xs, |x| x + 1)", &[]), None, "integer par_map is clean");
+        assert_eq!(
+            src("par_map(xs, |x| x + 1)", &[]),
+            None,
+            "integer par_map is clean"
+        );
         assert_eq!(
             src("thread::spawn(|| {})", &[]),
             Some(SourceClass::AdHocThread)

@@ -11,8 +11,9 @@
 //!   clock-region discipline (FP001–FP007).
 //! * [`lint_bitstream`] — offline blob verification without the ICAP load
 //!   path, including deployment checks (BS001–BS006).
-//! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] — configurations that
-//!   would deadlock, starve or fail to schedule (CF001–CF009).
+//! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] / [`lint_fault_plan`] —
+//!   configurations that would starve or fail to schedule, and fault plans
+//!   no retry budget covers (CF002–CF008).
 //! * [`lint_trace`] / [`lint_fault_trace`] / [`lint_shard_lookahead`] — DES
 //!   schedules whose outcome depends on event scheduling order, fault traces
 //!   merged outside the canonical order, and cross-shard events below their
@@ -25,11 +26,14 @@
 //!   determinism taint analyzer: workspace call graph, source→sink taint
 //!   propagation with full call chains, suppression-drift audit
 //!   (IPA001–IPA005).
-//! * [`lint_platform`] — the whole-platform analyzer: joins everything
-//!   above into one typed resource graph ([`PlatformGraph`]) and runs the
+//! * [`platform`] — the whole-platform analyzer: joins a shell spec's
+//!   layers into one typed resource graph ([`PlatformGraph`]) and runs the
 //!   cross-layer families on it — graph construction (PG001–PG002),
 //!   global wait-for cycles (WF001–WF004), capacity feasibility
 //!   (CAP001–CAP003) and tenant isolation (ISO001–ISO002).
+//!
+//! [`lint_shell_spec`] gives a shell spec one pass and one verdict: the
+//! config, floorplan and netlist rules plus the platform families.
 //!
 //! All rules emit [`Diagnostic`]s into a [`Report`]; [`LintConfig`] applies
 //! per-rule allow/deny; the `coyote-lint` binary renders reports as text or
@@ -55,49 +59,49 @@ pub use diag::{Diagnostic, LintConfig, Location, Report, Severity};
 pub use floorplan::{lint_floorplan, PartitionDemand};
 pub use ipa::{lint_ipa_sources, lint_ipa_workspace};
 pub use netlist::lint_netlist;
-pub use platform::{build_platform_graph, lint_platform, PlatformGraph};
+pub use platform::{build_platform_graph, PlatformGraph};
 pub use rules::{render_catalog, rule, Layer, RuleInfo, CATALOG};
 pub use shellspec::ShellSpec;
 pub use source::{lint_source, lint_source_tree};
 
 use coyote_fabric::{Device, Floorplan};
 
-/// Lint everything a shell specification implies: the configuration itself,
-/// the QP transport contract (if declared), the preset floorplan the shell
-/// would be built on, and the post-synthesis netlists of every service
-/// block it instantiates.
+/// Lint everything a shell specification implies, in one pass: the
+/// configuration itself, the QP packet geometry (if declared), the preset
+/// floorplan the shell would be built on, the post-synthesis netlists of
+/// every service block it instantiates, and the platform resource graph
+/// (PG/WF/CAP/ISO).
 pub fn lint_shell_spec(spec: &ShellSpec) -> Report {
     let mut report = Report::new();
     let unit = spec.name.as_str();
 
-    let cfg = match spec.to_shell_config() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            report.push(Diagnostic::new(
-                "CF005",
-                Severity::Error,
-                Location::new(format!("config:{unit}"), "shell"),
-                format!("unusable shell spec: {e}"),
-            ));
-            return report;
+    match spec.to_shell_config() {
+        Ok(cfg) => {
+            report.extend(lint_shell(unit, &cfg));
+            if let Some(qp) = spec.qp_spec() {
+                report.extend(lint_qp(unit, &qp));
+            }
+            // Deeper artifact checks only make sense for a schedulable shell.
+            if (1..=10).contains(&cfg.n_vfpgas) {
+                let device = Device::new(cfg.device);
+                let fp = Floorplan::preset(cfg.device, cfg.profile(), cfg.n_vfpgas);
+                report.extend(lint_floorplan(&fp, &device, &[]));
+                for block in cfg.service_blocks() {
+                    report.extend(lint_netlist(&block.synthesize()));
+                }
+            }
         }
-    };
-
-    report.extend(lint_shell(unit, &cfg));
-    if let Some(qp) = spec.qp_spec() {
-        report.extend(lint_qp(unit, &qp));
+        Err(e) => report.push(Diagnostic::new(
+            "CF005",
+            Severity::Error,
+            Location::new(format!("config:{unit}"), "shell"),
+            format!("unusable shell spec: {e}"),
+        )),
     }
 
-    // Deeper artifact checks only make sense for a schedulable shell.
-    if (1..=10).contains(&cfg.n_vfpgas) {
-        let device = Device::new(cfg.device);
-        let fp = Floorplan::preset(cfg.device, cfg.profile(), cfg.n_vfpgas);
-        report.extend(lint_floorplan(&fp, &device, &[]));
-        for block in cfg.service_blocks() {
-            report.extend(lint_netlist(&block.synthesize()));
-        }
-    }
-
+    // The platform graph is built from the spec itself, so it runs even
+    // when the spec does not convert to a shell configuration.
+    report.extend(platform::check(spec));
     report
 }
 
@@ -126,6 +130,8 @@ mod tests {
 
     #[test]
     fn deadlock_prone_spec_is_refused() {
+        // ACK starvation: end-of-message-only ACKs and messages longer than
+        // window*MTU close the sender -> window -> ack wait-for cycle.
         let s = spec(
             r#"{
                 "name": "pre-fix", "device": "u55c", "n_vfpgas": 1,
@@ -136,7 +142,11 @@ mod tests {
             }"#,
         );
         let r = lint_shell_spec(&s);
-        assert_eq!(r.of_rule("CF001").count(), 1);
+        assert_eq!(r.of_rule("WF001").count(), 1, "{}", r.render_human());
+        assert_eq!(
+            r.of_rule("WF001").next().unwrap().location.path,
+            "cycle(rdma.sender)"
+        );
         assert!(r.has_errors());
     }
 
@@ -151,5 +161,6 @@ mod tests {
         );
         let r = lint_shell_spec(&s);
         assert_eq!(r.of_rule("CF005").count(), 1);
+        assert!(r.has_errors());
     }
 }

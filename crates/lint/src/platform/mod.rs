@@ -11,7 +11,8 @@
 //!   feasibility against the calibrated platform rates.
 //! * [`tenancy`] — ISO001–ISO002: tenant isolation by reachability.
 //!
-//! Entry point: [`lint_platform`], wired to `coyote-lint --platform`.
+//! Entry point: [`crate::lint_shell_spec`], which runs these families in
+//! the same pass as the config, floorplan and netlist rules.
 
 pub mod capacity;
 pub mod graph;
@@ -25,7 +26,7 @@ use crate::shellspec::ShellSpec;
 
 /// Build the platform graph for `spec` and run every platform rule family
 /// (PG, WF, CAP, ISO) on it.
-pub fn lint_platform(spec: &ShellSpec) -> Report {
+pub(crate) fn check(spec: &ShellSpec) -> Report {
     let (g, mut report) = build_platform_graph(spec);
     report.extend(waitfor::check(&g));
     report.extend(capacity::check(spec, &g));

@@ -1,14 +1,14 @@
 //! Wait-for-graph rules (WF001–WF004): global hold-and-wait analysis.
 //!
-//! WF001 generalizes the local pair checks CF001 (ACK starvation) and
-//! CF009 (ring vs. batch) to arbitrary-length cycles over the `waits-on`
-//! subgraph: *any* configuration in which a chain of resources and actors
-//! waits back on itself is a deadlock some legal workload can reach, and
-//! the diagnostic prints the whole chain, edge by edge, with the reason
-//! each wait exists. WF002–WF004 catch the degenerate waits a cycle search
-//! cannot: waits that are unsatisfiable from the start (zero capacity),
-//! waits on producers the shell never instantiates, and hold-and-wait
-//! chains that cross a tenant boundary.
+//! WF001 finds cycles of any length over the `waits-on` subgraph — ACK
+//! starvation and an undersized reconfiguration completion ring are the
+//! two the platform can express today: *any* configuration in which a
+//! chain of resources and actors waits back on itself is a deadlock some
+//! legal workload can reach, and the diagnostic prints the whole chain,
+//! edge by edge, with the reason each wait exists. WF002–WF004 catch the
+//! degenerate waits a cycle search cannot: waits that are unsatisfiable
+//! from the start (zero capacity), waits on producers the shell never
+//! instantiates, and hold-and-wait chains that cross a tenant boundary.
 //!
 //! These are deny rules and deliberately over-approximate (see the
 //! soundness note in [`super::graph`]): every flagged cycle is reachable
@@ -89,8 +89,10 @@ pub fn check(g: &PlatformGraph) -> Report {
                                 msg,
                             )
                             .with_suggestion(
-                                "break any edge of the cycle; the local rules CF001 \
-                                 (ACK starvation) and CF009 (ring sizing) name the usual fixes",
+                                "break any edge of the cycle: size reconfig.ring_slots to at \
+                                 least max_batch_runs x max_concurrent (or lower either), or \
+                                 enable qp.ack_on_window_fill (or cap qp.max_msg_bytes at \
+                                 window x mtu)",
                             ),
                         );
                     }

@@ -22,7 +22,7 @@ pub enum Layer {
     Des,
     /// The workspace's own Rust source (the `coyote-detlint` analyzer).
     Source,
-    /// The joined cross-layer platform resource graph (`--platform`).
+    /// The joined cross-layer platform resource graph of a shell spec.
     Platform,
     /// Interprocedural determinism taint analysis over the whole
     /// workspace call graph (`--ipa`).
@@ -185,13 +185,6 @@ pub const CATALOG: &[RuleInfo] = &[
     },
     // --- Config ------------------------------------------------------
     RuleInfo {
-        id: "CF001",
-        layer: Layer::Config,
-        severity: Severity::Error,
-        description:
-            "ACK starvation: max message length exceeds window*MTU with end-of-message-only ACKs",
-    },
-    RuleInfo {
         id: "CF002",
         layer: Layer::Config,
         severity: Severity::Error,
@@ -234,14 +227,6 @@ pub const CATALOG: &[RuleInfo] = &[
         description:
             "fault plan outruns the retry budget: injected loss rate leaves the recovery path \
              an unrecoverable residual failure probability",
-    },
-    RuleInfo {
-        id: "CF009",
-        layer: Layer::Config,
-        severity: Severity::Error,
-        description:
-            "reconfiguration completion ring smaller than the largest batch one submission may \
-             post: the ICAP engine stalls on writeback while software waits on the doorbell",
     },
     // --- DES ---------------------------------------------------------
     RuleInfo {
@@ -371,7 +356,8 @@ pub const CATALOG: &[RuleInfo] = &[
         severity: Severity::Error,
         description:
             "hold-and-wait cycle in the global wait-for graph: a chain of resources and \
-             actors waits back on itself (generalizes CF001/CF009 to any length)",
+             actors waits back on itself (e.g. ACK starvation, an undersized reconfiguration \
+             completion ring)",
     },
     RuleInfo {
         id: "WF002",
@@ -523,6 +509,6 @@ mod tests {
     fn lookup_works() {
         assert_eq!(rule("NL004").unwrap().layer, Layer::Netlist);
         assert!(rule("ZZ999").is_none());
-        assert!(render_catalog().contains("CF001"));
+        assert!(render_catalog().contains("CF002"));
     }
 }

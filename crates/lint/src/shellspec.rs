@@ -213,8 +213,6 @@ impl ShellSpec {
         self.qp.as_ref().map(|q| QpSpec {
             mtu: q.mtu as usize,
             window: q.window as usize,
-            max_msg_bytes: q.max_msg_bytes as usize,
-            ack_on_window_fill: q.ack_on_window_fill,
         })
     }
 }

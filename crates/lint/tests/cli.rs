@@ -1,5 +1,6 @@
 //! CLI contract tests: exit codes (0 clean/warnings, 1 errors, 2 usage/IO
-//! or `--strict` gate failures) and the `--json` schema round-trip.
+//! or `--strict` gate failures), shell-spec and directory scans, and the
+//! `--json` schema round-trip.
 //!
 //! These run the real `coyote-lint` binary via `CARGO_BIN_EXE_`, so they
 //! pin exactly what CI and deployments observe.
@@ -123,11 +124,12 @@ fn directory_scan_aggregates_findings() {
     assert_eq!(out.stdout, again.stdout);
 }
 
-// -------------------------------------------------------------- platform
+// ------------------------------------------------------------ shell specs
 
 #[test]
 fn platform_mode_reports_the_wait_for_cycle() {
-    let out = run(&["--platform", &fixture("platform/wf001_ring_cycle.json")]);
+    // A shell spec gets the platform families in its one pass.
+    let out = run(&[&fixture("platform/wf001_ring_cycle.json")]);
     assert_eq!(code(&out), 1);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("WF001"), "{text}");
@@ -139,26 +141,20 @@ fn platform_mode_reports_the_wait_for_cycle() {
 
 #[test]
 fn platform_mode_is_clean_on_the_clean_fixture_and_gates_under_strict() {
-    let out = run(&["--platform", &fixture("platform/clean_platform.json")]);
+    let out = run(&[&fixture("platform/clean_platform.json")]);
     assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stdout));
 
     let out = run(&[
-        "--platform",
         "--strict",
         &fixture("platform/iso001_cross_tenant_reach.json"),
     ]);
     assert_eq!(code(&out), 2, "--strict gates error findings at 2");
 
     // CAP rules are warnings: reported but never a failure without --deny.
-    let out = run(&[
-        "--platform",
-        "--strict",
-        &fixture("platform/cap001_rate_overrun.json"),
-    ]);
+    let out = run(&["--strict", &fixture("platform/cap001_rate_overrun.json")]);
     assert_eq!(code(&out), 0);
     assert!(String::from_utf8_lossy(&out.stdout).contains("CAP001"));
     let out = run(&[
-        "--platform",
         "--strict",
         "--deny",
         "CAP001",
@@ -173,23 +169,55 @@ fn platform_mode_is_clean_on_the_clean_fixture_and_gates_under_strict() {
 
 #[test]
 fn platform_directory_scan_aggregates_and_is_deterministic() {
-    let out = run(&["--platform", &fixture("platform")]);
+    let out = run(&[&fixture("platform")]);
     assert_eq!(code(&out), 1);
     let text = String::from_utf8_lossy(&out.stdout);
     for rule in ["PG001", "WF001", "CAP002", "ISO002"] {
         assert!(text.contains(rule), "directory scan must report {rule}");
     }
-    let again = run(&["--platform", &fixture("platform")]);
+    let again = run(&[&fixture("platform")]);
     assert_eq!(out.stdout, again.stdout);
 }
 
 #[test]
 fn platform_mode_rejects_non_spec_paths() {
-    assert_eq!(
-        code(&run(&["--platform", &fixture("src/src001_bad.rs")])),
-        2
-    );
-    assert_eq!(code(&run(&["--platform", "/nonexistent/shell.json"])), 2);
+    assert_eq!(code(&run(&[&fixture("src/src001_bad.rs")])), 2);
+    assert_eq!(code(&run(&["/nonexistent/shell.json"])), 2);
+}
+
+#[test]
+fn strict_gate_refuses_unschedulable_specs_in_a_directory() {
+    // Specs the runtime refuses must fail the one strict gate, not only a
+    // default-mode run: an unknown device and more than 16 card streams.
+    let dir = std::env::temp_dir().join(format!("coyote_lint_gate_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let shell = |name: &str, device: &str, card_streams: u32| {
+        format!(
+            r#"{{ "name": "{name}", "device": "{device}", "n_vfpgas": 1,
+                 "memory_channels": 16, "networking": false, "sniffer": false,
+                 "n_host_streams": 4, "n_card_streams": {card_streams}, "node_id": 1 }}"#
+        )
+    };
+    std::fs::write(
+        dir.join("a_device.json"),
+        shell("bad-device", "stratix10", 0),
+    )
+    .unwrap();
+    std::fs::write(dir.join("b_streams.json"), shell("wide", "u55c", 17)).unwrap();
+
+    let out = run(&["--strict", "--json", &dir.to_string_lossy()]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(code(&out), 2, "{}", String::from_utf8_lossy(&out.stdout));
+    let parsed: Report = serde_json::from_slice(&out.stdout).expect("valid JSON");
+    for unit in ["config:bad-device", "config:wide"] {
+        assert!(
+            parsed
+                .diagnostics
+                .iter()
+                .any(|d| d.rule_id == "CF005" && d.location.unit == unit),
+            "CF005 missing for {unit}: {parsed:?}"
+        );
+    }
 }
 
 // ------------------------------------------------------------------- ipa
@@ -213,7 +241,11 @@ fn ipa_mode_reports_the_full_call_chain() {
 #[test]
 fn ipa_strict_gates_on_taint_errors_and_passes_clean() {
     let out = run(&["--ipa", "--strict", &fixture("ipa/ipa001_chain.rs")]);
-    assert_eq!(code(&out), 2, "--strict turns the taint path into a gate failure");
+    assert_eq!(
+        code(&out),
+        2,
+        "--strict turns the taint path into a gate failure"
+    );
     let out = run(&["--ipa", "--strict", &fixture("ipa/ipa001_clean.rs")]);
     assert_eq!(code(&out), 0);
     // Warning-severity IPA rules report without failing the gate.

@@ -54,12 +54,6 @@ fn clean_config_fixtures_produce_zero_diagnostics() {
 fn config_fixtures_fire_their_rule_at_the_exact_location() {
     let cases = [
         (
-            "cf001_ack_starvation.json",
-            "CF001",
-            "config:cf001-ack-starvation",
-            "qp.max_msg_bytes",
-        ),
-        (
             "cf002_bad_mtu.json",
             "CF002",
             "config:cf002-bad-mtu",
@@ -95,12 +89,6 @@ fn config_fixtures_fire_their_rule_at_the_exact_location() {
             "config:cf007-oversized-tlb",
             "mmu",
         ),
-        (
-            "cf009_ring_too_small.json",
-            "CF009",
-            "config:cf009-ring-too-small",
-            "shell.reconfig_ring_slots",
-        ),
     ];
     for (file, rule, unit, path) in cases {
         let r = lint_shell_spec(&fixture(file));
@@ -135,10 +123,10 @@ fn cf008_uncoverable_fault_plan_is_an_error() {
 fn the_pre_fix_deadlock_config_is_an_error() {
     // The acceptance case: a config reproducing the ack_req starvation
     // deadlock the RC queue pair had before the window-fill ACK fix must be
-    // rejected at error severity.
-    let r = lint_shell_spec(&fixture("cf001_ack_starvation.json"));
+    // rejected at error severity, as the sender -> window -> ack cycle.
+    let r = platform_fixture("wf001_ack_starvation.json");
     assert!(r.has_errors());
-    assert_eq!(r.of_rule("CF001").next().unwrap().severity, Severity::Error);
+    assert_eq!(r.of_rule("WF001").next().unwrap().severity, Severity::Error);
 }
 
 // ---------------------------------------------------------------- netlist
@@ -819,7 +807,7 @@ fn platform_fixture(name: &str) -> Report {
     let path = format!("{}/fixtures/platform/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     let spec = ShellSpec::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-    coyote_lint::lint_platform(&spec)
+    lint_shell_spec(&spec)
 }
 
 #[test]
@@ -842,6 +830,12 @@ fn platform_fixtures_fire_their_rule_at_the_exact_location() {
             "WF001",
             "platform:wf001-ring-cycle",
             "cycle(software)",
+        ),
+        (
+            "wf001_ack_starvation.json",
+            "WF001",
+            "platform:wf001-ack-starvation",
+            "cycle(rdma.sender)",
         ),
         (
             "wf002_zero_credits.json",
@@ -913,7 +907,7 @@ fn clean_platform_fixture_produces_zero_diagnostics() {
 #[test]
 fn wf001_diagnostic_prints_the_full_cycle() {
     // The whole hold/wait chain must be in the message, edge by edge —
-    // that is the point of generalizing CF009 into a graph rule.
+    // that is the point of checking ring sizing as a graph rule.
     let r = platform_fixture("wf001_ring_cycle.json");
     let d = r.of_rule("WF001").next().expect("WF001 fires");
     let msg = &d.message;
@@ -935,11 +929,10 @@ fn every_catalog_rule_has_golden_coverage() {
     let covered = [
         "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP001", "FP002", "FP003",
         "FP004", "FP005", "FP006", "FP007", "BS001", "BS002", "BS003", "BS004", "BS005", "BS006",
-        "CF001", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008", "CF009", "DS001",
-        "DS002", "DS003", "DS004", "DS006", "DS007", "SRC001", "SRC002", "SRC003", "SRC004",
-        "SRC005", "SRC006", "SRC007", "PG001", "PG002", "WF001", "WF002", "WF003", "WF004",
-        "CAP001", "CAP002", "CAP003", "ISO001", "ISO002", "IPA001", "IPA002", "IPA003", "IPA004",
-        "IPA005",
+        "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008", "DS001", "DS002", "DS003",
+        "DS004", "DS006", "DS007", "SRC001", "SRC002", "SRC003", "SRC004", "SRC005", "SRC006",
+        "SRC007", "PG001", "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002",
+        "CAP003", "ISO001", "ISO002", "IPA001", "IPA002", "IPA003", "IPA004", "IPA005",
     ];
     // Both ways: a catalog rule without a golden test fails, and so does a
     // covered id whose rule left the catalog.

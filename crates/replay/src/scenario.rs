@@ -234,13 +234,7 @@ pub fn build_topology(topo: StormTopology) -> Topology {
 /// the worst case for the conservative windows.
 fn egress(topo: StormTopology, domain: u64) -> SimDuration {
     match topo {
-        StormTopology::Platform => match domain {
-            DOMAIN_NET => coyote_net::shard::shard_lookahead(),
-            DOMAIN_DMA => coyote_dma::shard::shard_lookahead(),
-            DOMAIN_FABRIC => coyote_fabric::shard::shard_lookahead(),
-            DOMAIN_SCHED => coyote_sched::shard::shard_lookahead(),
-            _ => unreachable!("platform domains only"),
-        },
+        StormTopology::Platform => coyote::egress_lookahead(domain).expect("platform domains only"),
         StormTopology::Ring(_) => SimDuration::from_ns(RING_LOOKAHEAD_NS),
     }
 }

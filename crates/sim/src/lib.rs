@@ -51,7 +51,6 @@
 
 pub mod arbiter;
 pub mod credit;
-pub mod fifo;
 pub mod fnv;
 pub mod link;
 pub mod par;
@@ -65,7 +64,6 @@ pub mod window;
 
 pub use arbiter::RrQueue;
 pub use credit::CreditPool;
-pub use fifo::BoundedFifo;
 pub use link::{LinkModel, Transfer};
 pub use par::{par_map, thread_budget};
 pub use pipeline::PipelineModel;

@@ -1,10 +1,10 @@
-//! Measurement instrumentation: counters, histograms, throughput meters.
+//! Measurement instrumentation: counters, histograms, series.
 //!
 //! Every number the experiment harness reports flows through one of these
 //! types, so the collection semantics (what counts, over which window) are
 //! uniform across figures.
 
-use crate::time::{rate, Bandwidth, SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -24,60 +24,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0
-    }
-}
-
-/// Measures achieved data rate between the first and last recorded transfer.
-#[derive(Debug, Clone, Default)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    first: Option<SimTime>,
-    last: SimTime,
-}
-
-impl ThroughputMeter {
-    /// A fresh meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `bytes` completing at `at`.
-    pub fn record(&mut self, at: SimTime, bytes: u64) {
-        if self.first.is_none() {
-            self.first = Some(at);
-        }
-        self.bytes += bytes;
-        self.last = self.last.max(at);
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Elapsed window between first and last record.
-    pub fn window(&self) -> SimDuration {
-        match self.first {
-            Some(first) => self.last.since(first),
-            None => SimDuration::ZERO,
-        }
-    }
-
-    /// Achieved rate over the measured window; zero until two distinct
-    /// instants have been recorded.
-    pub fn rate(&self) -> Bandwidth {
-        rate(self.bytes, self.window())
-    }
-
-    /// Achieved rate measured from an externally chosen start instant
-    /// (e.g. when the request was *issued* rather than first completed).
-    pub fn rate_from(&self, start: SimTime) -> Bandwidth {
-        rate(self.bytes, self.last.saturating_since(start))
-    }
-
-    /// Forget everything (between trials).
-    pub fn reset(&mut self) {
-        *self = Self::default();
     }
 }
 
@@ -179,36 +125,6 @@ impl Histogram {
     }
 }
 
-/// Exponentially weighted moving average (per-packet latency smoothing in
-/// the shell's monitors).
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// An EWMA with smoothing factor `alpha` in `(0, 1]` (higher = more
-    /// reactive).
-    pub fn new(alpha: f64) -> Ewma {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha out of range");
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold in an observation.
-    pub fn observe(&mut self, v: f64) {
-        self.value = Some(match self.value {
-            Some(prev) => prev + self.alpha * (v - prev),
-            None => v,
-        });
-    }
-
-    /// Current smoothed value (`None` before the first observation).
-    pub fn get(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 /// Mean and sample standard deviation of a series of f64 observations,
 /// matching the "average latency with STD reported from 5 trials" format of
 /// Table 3.
@@ -261,7 +177,6 @@ impl Series {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
     #[test]
     fn counter_counts() {
@@ -269,25 +184,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn throughput_meter_measures_rate() {
-        let mut m = ThroughputMeter::new();
-        let mut now = SimTime::ZERO;
-        // 10 transfers of 1 MB, one per millisecond: 1 GB/s over 9 ms window
-        // measured first-to-last, ~1.111 GB/s.
-        for _ in 0..10 {
-            m.record(now, 1_000_000);
-            now += SimDuration::from_ms(1);
-        }
-        assert_eq!(m.bytes(), 10_000_000);
-        let r = m.rate();
-        assert!((r.as_gbps_f64() - 10.0 / 9.0).abs() < 0.01, "{r:?}");
-        // Measured from issue time zero over the full 9 ms the answer is the
-        // same here; with an earlier start it drops.
-        let r2 = m.rate_from(SimTime::ZERO - SimDuration::ZERO);
-        assert_eq!(r2.as_bytes_per_sec(), r.as_bytes_per_sec());
     }
 
     #[test]
@@ -312,29 +208,6 @@ mod tests {
         h.record(SimDuration::from_ps(1));
         h.record(SimDuration::from_ns(1));
         assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn ewma_converges_and_smooths() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.get(), None);
-        e.observe(100.0);
-        assert_eq!(e.get(), Some(100.0), "first observation seeds");
-        e.observe(0.0);
-        assert_eq!(e.get(), Some(50.0));
-        for _ in 0..50 {
-            e.observe(10.0);
-        }
-        assert!(
-            (e.get().unwrap() - 10.0).abs() < 1e-9,
-            "converges to the plateau"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha out of range")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = Ewma::new(0.0);
     }
 
     #[test]

@@ -367,7 +367,7 @@ fn sharded_platform_fingerprint(workers: usize) -> (u64, [u64; 4], u64) {
             let dst = ORDER[(cur + 1 + (state as usize % 3)) % 4];
             // Each platform link promises the source domain's egress
             // lookahead; posting at exactly that delay is the legal minimum.
-            let la = coyote::platform_lookaheads()[cur];
+            let la = coyote::egress_lookahead(ctx.domain()).unwrap();
             ctx.post_after(
                 dst,
                 la,

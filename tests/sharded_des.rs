@@ -194,7 +194,7 @@ fn chaos_fault_lands_on_the_owning_shard_and_replays_bit_identically() {
         sim.record_trace();
         let plan = FaultPlan::new(42).page_fault_burst_at(3);
         sim.world_of_mut(owning).unwrap().injector = Some(plan.injector(Domain::Mmu));
-        let la = coyote_net::shard::shard_lookahead();
+        let la = coyote::egress_lookahead(DOMAIN_NET).unwrap();
         for op in 0..16u64 {
             sim.seed(
                 DOMAIN_NET,
