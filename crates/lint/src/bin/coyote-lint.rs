@@ -7,15 +7,16 @@
 //! PATHs ending in .json are shell specifications, each given one pass
 //! over every spec rule family (config, floorplan, netlist and the
 //! PG/WF/CAP/ISO platform families); a directory is scanned for its .json
-//! specs in sorted order. PATHs ending in .bin are bitstreams. With --source, PATHs are .rs files or directories scanned recursively
-//! (the coyote-detlint determinism analyzer, SRC001-SRC007). With --ipa,
-//! PATHs are workspace roots (or .rs files) analyzed as one call graph:
-//! interprocedural taint from the SRC nondeterminism classes to the
-//! determinism sinks, plus the suppression-drift audit (IPA001-IPA005).
+//! specs in sorted order. PATHs ending in .bin are bitstreams.
+//!
+//! With --source, PATHs are .rs files or directories scanned recursively
+//! by the coyote-detlint determinism analyzer. Each PATH is one workspace,
+//! walked and lexed once: the per-line hazards (SRC001-SRC007) plus the
+//! interprocedural taint they seed into the determinism sinks and the
+//! suppression-drift audit (IPA001-IPA005).
 //!
 //! Options:
 //!   --source        treat paths as Rust source (files or directories)
-//!   --ipa           interprocedural taint analysis of a workspace root
 //!   --json          machine-readable JSON report on stdout
 //!   --allow <RULE>  suppress a rule (repeatable)
 //!   --deny <RULE>   promote a rule to error severity (repeatable)
@@ -29,20 +30,18 @@
 //! ```
 
 use coyote_lint::{
-    lint_bitstream, lint_ipa_sources, lint_ipa_workspace, lint_shell_spec, lint_source,
-    lint_source_tree, LintConfig, Report, ShellSpec,
+    lint_bitstream, lint_shell_spec, lint_source, lint_source_tree, LintConfig, Report, ShellSpec,
 };
 use std::path::Path;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: coyote-lint [--source|--ipa] [--json] [--allow RULE]... \
+const USAGE: &str = "usage: coyote-lint [--source] [--json] [--allow RULE]... \
                      [--deny RULE]... [--strict] [--catalog] <path>...";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json = false;
     let mut source = false;
-    let mut ipa = false;
     let mut strict = false;
     let mut config = LintConfig::new();
     let mut paths: Vec<String> = Vec::new();
@@ -52,7 +51,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--json" => json = true,
             "--source" => source = true,
-            "--ipa" => ipa = true,
             "--strict" => strict = true,
             "--catalog" => {
                 print!("{}", coyote_lint::render_catalog());
@@ -92,9 +90,7 @@ fn main() -> ExitCode {
 
     let mut report = Report::new();
     for path in &paths {
-        let result = if ipa {
-            lint_ipa_path(path)
-        } else if source {
+        let result = if source {
             lint_source_path(path)
         } else {
             lint_path(path)
@@ -157,18 +153,6 @@ fn lint_path(path: &str) -> Result<Report, String> {
              bitstream)"
                 .to_string(),
         )
-    }
-}
-
-fn lint_ipa_path(path: &str) -> Result<Report, String> {
-    let p = Path::new(path);
-    if p.is_dir() {
-        lint_ipa_workspace(p).map_err(|e| e.to_string())
-    } else if path.ends_with(".rs") {
-        let text = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
-        Ok(lint_ipa_sources(&[(path.to_string(), text)]))
-    } else {
-        Err("unsupported ipa path (expected a workspace directory or a .rs file)".to_string())
     }
 }
 

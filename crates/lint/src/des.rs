@@ -1,4 +1,4 @@
-//! DES determinism analysis (DS001–DS004, DS006, DS007): the
+//! DES determinism analysis (DS001–DS004, DS007): the
 //! happens-before checker.
 //!
 //! The engine breaks ties between same-timestamp events by their canonical
@@ -27,11 +27,6 @@
 //!   `(domain, op)` order: someone concatenated per-worker traces instead
 //!   of going through [`coyote_chaos::FaultTrace::merged`], so the trace
 //!   (and its published FNV-64 hash) depends on collection order.
-//! * **DS006** — an event crossing a shard-domain boundary with a delay
-//!   below the declared link lookahead. The engine's conservative windows
-//!   are exactly as wide as the lookahead promises; an event that undercuts
-//!   its link can land inside a window the destination shard has already
-//!   executed past, so no deterministic order exists for it.
 //! * **DS007** — replay divergence: two runs of one recorded workload
 //!   disagree on an event. The determinism contract says worker threads
 //!   decide *who computes*, never *what happened*, so any disagreement is a
@@ -40,7 +35,7 @@
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
 use coyote_chaos::FaultTrace;
-use coyote_sim::{ShardTrace, ShardTraceEntry, SimDuration};
+use coyote_sim::{ShardTrace, ShardTraceEntry};
 use std::collections::BTreeMap;
 
 fn loc(unit: &str, at_ps: u64) -> Location {
@@ -171,72 +166,6 @@ pub fn lint_trace(unit: &str, trace: &ShardTrace) -> Report {
         }
     }
 
-    report
-}
-
-/// DS006: verify cross-shard events respect the declared link lookaheads.
-///
-/// `lookaheads` is the topology's declaration table as produced by
-/// `coyote_sim::Topology::lookahead_decls`: `(src domain, dst domain,
-/// lookahead)` per directed link. Every entry whose `src_domain` differs
-/// from its `domain` crossed a shard boundary; its scheduling delay
-/// `at - posted_at` must be at least the declared lookahead of that link
-/// (error), and the link itself must be declared at all (warning) —
-/// otherwise the conservative window cannot order the event and determinism
-/// across worker counts is forfeit.
-pub fn lint_shard_lookahead(
-    unit: &str,
-    trace: &ShardTrace,
-    lookaheads: &[(u64, u64, SimDuration)],
-) -> Report {
-    let mut report = Report::new();
-    for e in trace.entries() {
-        let (Some(src), Some(dst)) = (e.src_domain, e.domain) else {
-            continue;
-        };
-        if src == dst {
-            continue; // Local events need no link.
-        }
-        let declared = lookaheads
-            .iter()
-            .find(|&&(s, d, _)| s == src && d == dst)
-            .map(|&(_, _, l)| l);
-        let delay = SimDuration(e.at_ps.saturating_sub(e.posted_at_ps));
-        match declared {
-            None => report.push(
-                Diagnostic::new(
-                    "DS006",
-                    Severity::Warning,
-                    loc(unit, e.at_ps),
-                    format!(
-                        "event {} crossed shard domains {src:#x} -> {dst:#x} with no \
-                         declared link lookahead; the conservative window has no bound to \
-                         order it under",
-                        event_id(e)
-                    ),
-                )
-                .with_suggestion("declare the link (and its lookahead) in the shard topology"),
-            ),
-            Some(lookahead) if delay < lookahead => report.push(
-                Diagnostic::new(
-                    "DS006",
-                    Severity::Error,
-                    loc(unit, e.at_ps),
-                    format!(
-                        "event {} crossed shard domains {src:#x} -> {dst:#x} with delay \
-                         {delay} below the declared link lookahead {lookahead}; it can land \
-                         inside a window the destination shard already executed past",
-                        event_id(e)
-                    ),
-                )
-                .with_suggestion(
-                    "post with at least the link lookahead, or shrink the declared lookahead \
-                     to the true minimum latency of the path",
-                ),
-            ),
-            Some(_) => {}
-        }
-    }
     report
 }
 
@@ -492,92 +421,5 @@ mod tests {
         fault(&mut t, Domain::NetSwitch, 2);
         let r = lint_fault_trace("chaos", &t);
         assert_eq!(r.of_rule("DS004").count(), 1);
-    }
-
-    // ------------------------------------------------------------- DS006
-
-    /// One event crossing from domain 10 to domain 20, posted at t=0 and
-    /// executed `delay` later. The engine itself rejects below-lookahead
-    /// posts at runtime, so a hazardous trace can only come from outside
-    /// it — a hand-edited or foreign recording — exactly the case DS006
-    /// exists for.
-    fn cross_shard_trace(delay: SimDuration) -> ShardTrace {
-        let tag = EventTag {
-            src_domain: Some(10),
-            ..EventTag::target(1).domain(20)
-        };
-        trace(vec![ev(0, delay.as_ps(), tag)])
-    }
-
-    const LINK_10_TO_20: (u64, u64, SimDuration) = (10, 20, SimDuration(5_000));
-
-    #[test]
-    fn ds006_below_lookahead_cross_shard_post_flagged() {
-        let t = cross_shard_trace(SimDuration(4_999));
-        let r = lint_shard_lookahead("t", &t, &[LINK_10_TO_20]);
-        assert_eq!(r.of_rule("DS006").count(), 1, "{}", r.render_human());
-        assert!(r.has_errors());
-    }
-
-    #[test]
-    fn ds006_at_or_above_lookahead_is_clean() {
-        for delay in [5_000, 5_001, 1_000_000] {
-            let t = cross_shard_trace(SimDuration(delay));
-            assert!(lint_shard_lookahead("t", &t, &[LINK_10_TO_20]).is_clean());
-        }
-    }
-
-    #[test]
-    fn ds006_undeclared_link_is_a_warning() {
-        let t = cross_shard_trace(SimDuration(5_000));
-        // Only the reverse link is declared.
-        let r = lint_shard_lookahead("t", &t, &[(20, 10, SimDuration(5_000))]);
-        assert_eq!(r.of_rule("DS006").count(), 1);
-        assert_eq!(r.max_severity(), Some(Severity::Warning));
-        assert!(!r.has_errors());
-    }
-
-    #[test]
-    fn ds006_ignores_local_and_untagged_events() {
-        // Local (same domain both sides) and untagged events are not
-        // shard crossings.
-        let local = EventTag {
-            src_domain: Some(10),
-            ..EventTag::target(1).domain(10)
-        };
-        let t = trace(vec![ev(0, 100, local), ev(1, 100, EventTag::default())]);
-        assert!(lint_shard_lookahead("t", &t, &[LINK_10_TO_20]).is_clean());
-    }
-
-    #[test]
-    fn ds006_reads_sharded_engine_traces() {
-        // The engine's own traces are DS006-clean by construction:
-        // post_after refuses below-lookahead delays.
-        use coyote_sim::{ShardSpec, ShardedSimulation, Topology};
-        let mut topo = Topology::new();
-        topo.add_shard(ShardSpec {
-            domain: 10,
-            name: "a",
-        })
-        .unwrap();
-        topo.add_shard(ShardSpec {
-            domain: 20,
-            name: "b",
-        })
-        .unwrap();
-        topo.link(0, 1, SimDuration(5_000)).unwrap();
-        let decls = topo.lookahead_decls();
-        let mut sim = ShardedSimulation::new(topo, vec![0u64, 0u64]).unwrap();
-        sim.record_trace();
-        sim.seed(10, SimTime::ZERO, EventTag::default(), |w, ctx| {
-            *w += 1;
-            ctx.post_after(20, SimDuration(5_000), EventTag::target(2), |w, _| *w += 1)
-                .unwrap();
-        })
-        .unwrap();
-        sim.run_with_workers(2);
-        let trace = sim.take_trace();
-        assert_eq!(trace.entries()[1].src_domain, Some(10), "one real crossing");
-        assert!(lint_shard_lookahead("sharded", &trace, &decls).is_clean());
     }
 }

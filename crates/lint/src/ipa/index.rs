@@ -1,6 +1,6 @@
-//! Workspace symbol indexing: every `fn` item, `use` import and
-//! hash-collection binding in every crate, keyed for the call-graph and
-//! taint passes.
+//! Workspace symbol indexing: every `fn` item, `use` import and raw SRC
+//! finding in every crate, keyed for the report, call-graph and taint
+//! passes.
 //!
 //! The indexer is built on the same dependency-free lexer as the per-file
 //! SRC scan ([`crate::source::lex`]): it recognizes `fn` items by token
@@ -13,7 +13,7 @@
 //! graph.
 
 use crate::source::lex::{self, Token, TokenKind};
-use crate::source::{collections, raw_findings, Finding};
+use crate::source::{raw_findings, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Keywords that look like call heads but never are.
@@ -60,10 +60,16 @@ pub struct FileIndex {
     pub all_lines: BTreeSet<u32>,
     /// `use` imports: simple (or renamed) name → full path.
     pub imports: BTreeMap<String, String>,
-    /// Names bound to HashMap/HashSet in this file (fields, lets, params).
-    pub hash_names: BTreeSet<String>,
-    /// Raw per-file SRC findings, pre-suppression (fed to IPA005).
+    /// Raw per-file SRC findings, pre-suppression: the SRC report, the
+    /// taint origins and the IPA005 audit all read these.
     pub(crate) src_findings: Vec<Finding>,
+}
+
+impl FileIndex {
+    /// Does a `detlint: allow` directive cover `rule` on `line`?
+    pub fn is_allowed(&self, rule: &str, line: u32) -> bool {
+        self.allows.get(&line).is_some_and(|set| set.contains(rule))
+    }
 }
 
 /// The indexed workspace: all files, all functions, and the resolution map.
@@ -95,7 +101,6 @@ impl Workspace {
                 unit: unit.clone(),
                 module,
                 src_findings: raw_findings(&tokens),
-                hash_names: collections::hash_bound_names(&tokens),
                 imports: index_imports(&tokens),
                 live_lines,
                 all_lines,

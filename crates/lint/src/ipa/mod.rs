@@ -1,15 +1,17 @@
-//! Interprocedural determinism taint analysis (`--ipa`, IPA001–IPA005).
+//! Interprocedural determinism taint analysis (IPA001–IPA005), the second
+//! half of every `--source` scan.
 //!
 //! The per-file SRC rules answer "is this line hazardous?"; this module
 //! answers the question they cannot: "does a hazardous value *travel* —
 //! through returns, locals and collections, across function and crate
 //! boundaries — into the determinism contract?" It indexes every `fn`
 //! item in the workspace ([`index`]), builds a conservative call graph
-//! ([`callgraph`]), propagates the seven SRC nondeterminism classes to a
-//! summary fixpoint ([`taint`]) and reports source→sink paths that cross
-//! at least one call boundary, full chain in the diagnostic. [`suppress`]
-//! rides along: it replays raw findings against every `detlint: allow`
-//! directive and flags the stale ones (IPA005).
+//! ([`callgraph`]), seeds taint from the raw SRC findings the index already
+//! holds, propagates it to a summary fixpoint ([`taint`]) and reports
+//! source→sink paths that cross at least one call boundary, full chain in
+//! the diagnostic. [`suppress`] rides along: it replays raw findings
+//! against every `detlint: allow` directive and flags the stale ones
+//! (IPA005).
 //!
 //! Deliberate asymmetry: SRC-level `allow` directives do NOT stop taint at
 //! its origin. A per-file annotation asserts a site is locally reviewed;
@@ -26,38 +28,27 @@ pub mod taint;
 
 use crate::diag::{Diagnostic, Location, Report};
 use crate::rules;
-use crate::source::collect_rs_files;
 use index::Workspace;
-use std::fs;
-use std::io;
-use std::path::Path;
 
-/// Analyze a set of `(unit, text)` sources as one workspace.
-pub fn lint_ipa_sources(sources: &[(String, String)]) -> Report {
-    let ws = Workspace::index(sources);
-    let analysis = taint::propagate(&ws);
-    let mut raw = taint::findings(&ws, &analysis);
-    let stale = suppress::audit(&ws, &raw);
+/// The interprocedural findings over an indexed workspace, located at
+/// `ipa:<unit>` / `L<line>`.
+pub(crate) fn check(ws: &Workspace) -> Report {
+    let analysis = taint::propagate(ws);
+    let mut raw = taint::findings(ws, &analysis);
+    let stale = suppress::audit(ws, &raw);
     raw.extend(stale);
 
     let mut report = Report::new();
     for f in raw {
         let file = &ws.files[f.file];
         // IPA findings honor IPA-level allows at their emission line.
-        if file
-            .allows
-            .get(&f.line)
-            .is_some_and(|set| set.contains(f.rule))
-        {
+        if file.is_allowed(f.rule, f.line) {
             continue;
         }
-        let severity = rules::rule(f.rule)
-            .map(|r| r.severity)
-            .unwrap_or(crate::diag::Severity::Warning);
         report.push(
             Diagnostic::new(
                 f.rule,
-                severity,
+                rules::severity(f.rule),
                 Location::new(format!("ipa:{}", file.unit), format!("L{}", f.line)),
                 f.message,
             )
@@ -67,31 +58,12 @@ pub fn lint_ipa_sources(sources: &[(String, String)]) -> Report {
     report
 }
 
-/// Analyze every `.rs` file under `root` (recursively, deterministic
-/// order) as one workspace, naming each file by its path relative to
-/// `root`. Same tree walk as the per-file scan, so both see the same
-/// shipped code.
-pub fn lint_ipa_workspace(root: &Path) -> io::Result<Report> {
-    let mut files = Vec::new();
-    collect_rs_files(root, &mut files)?;
-    let mut sources = Vec::with_capacity(files.len());
-    for path in &files {
-        let unit = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        sources.push((unit, fs::read_to_string(path)?));
-    }
-    Ok(lint_ipa_sources(&sources))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn single(src: &str) -> Report {
-        lint_ipa_sources(&[("t.rs".to_string(), src.to_string())])
+        crate::source::lint_source("t.rs", src)
     }
 
     #[test]
@@ -138,7 +110,7 @@ mod tests {
 
     #[test]
     fn multi_file_workspace_resolves_cross_crate_chains() {
-        let r = lint_ipa_sources(&[
+        let r = check(&Workspace::index(&[
             (
                 "crates/a/src/lib.rs".to_string(),
                 "pub fn order_of(m: &HashMap<u32, u32>) -> Vec<u32> {\n    \
@@ -152,7 +124,7 @@ mod tests {
                  let v = order_of(m);\n    fingerprint_of(1, &v, 2, 3)\n}\n"
                     .to_string(),
             ),
-        ]);
+        ]));
         // IPA004 fires on order_of (pub + hash-ordered return); IPA001 on
         // the cross-crate sink.
         assert_eq!(r.of_rule("IPA004").count(), 1, "{}", r.render_human());

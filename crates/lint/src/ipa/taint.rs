@@ -4,11 +4,12 @@
 //! Per function, the pass extracts *assignment events* (`let` bindings,
 //! reassignments, collection inserts, sort sanitizers, `return`s) and runs
 //! them to a local fixpoint: a local is tainted when its right-hand side
-//! contains a direct nondeterminism source, another tainted local, or a
-//! call to a function whose summary says its return is tainted. A
-//! function's summary becomes tainted when a tainted value reaches its
-//! `return` or tail expression. Summaries are monotone (`None → Some`,
-//! never back), so the global loop terminates in at most `#fns` rounds.
+//! contains a raw SRC finding (a direct nondeterminism source), another
+//! tainted local, or a call to a function whose summary says its return is
+//! tainted. A function's summary becomes tainted when a tainted value
+//! reaches its `return` or tail expression. Summaries are monotone
+//! (`None → Some`, never back), so the global loop terminates in at most
+//! `#fns` rounds.
 //!
 //! Sanctioned SRC-level `detlint: allow` directives deliberately do NOT
 //! stop taint here: a per-file annotation asserts the site is *locally*
@@ -19,7 +20,7 @@
 
 use super::callgraph::{call_sites, resolve, CallSite};
 use super::index::Workspace;
-use super::sinks::{expr_source, sink_class, SinkClass, SourceClass};
+use super::sinks::{sink_class, SinkClass};
 use crate::source::lex::{Token, TokenKind};
 use std::collections::BTreeMap;
 
@@ -53,8 +54,8 @@ const SANITIZE_METHODS: [&str; 7] = [
 /// Where a taint came from and how it traveled.
 #[derive(Debug, Clone)]
 pub struct TaintInfo {
-    /// The nondeterminism class at the origin.
-    pub class: SourceClass,
+    /// The SRC rule id of the origin finding: its nondeterminism class.
+    pub class: &'static str,
     /// File (workspace index) holding the origin expression.
     pub origin_file: usize,
     /// 1-based origin line.
@@ -317,18 +318,19 @@ fn span_taint(
         }
     };
 
-    // (a) Direct source in the span.
-    if let Some((class, line)) = expr_source(&file.tokens, (lo, hi), &file.hash_names) {
-        // Position: first token at that line within the span.
-        let pos = (lo..hi)
-            .find(|&i| file.tokens[i].line == line)
-            .unwrap_or(lo);
+    // (a) A raw SRC finding in the span.
+    if let Some(f) = file
+        .src_findings
+        .iter()
+        .filter(|f| (lo..hi).contains(&f.tok))
+        .min_by_key(|f| f.tok)
+    {
         consider(
-            pos,
+            f.tok,
             TaintInfo {
-                class,
+                class: f.rule,
                 origin_file: item.file,
-                origin_line: line,
+                origin_line: f.line,
                 chain: Vec::new(),
                 laundered: false,
             },
@@ -502,7 +504,7 @@ pub fn findings(ws: &Workspace, analysis: &Analysis) -> Vec<IpaFinding> {
                 line: cs.line,
                 message: format!(
                     "{} at {}:L{} reaches the {} `{}` across {} call boundar{}: {}",
-                    info.class.describe(),
+                    class_text(info.class).0,
                     origin_unit,
                     info.origin_line,
                     sink.describe(),
@@ -514,7 +516,7 @@ pub fn findings(ws: &Workspace, analysis: &Analysis) -> Vec<IpaFinding> {
                 suggestion: format!(
                     "make the origin deterministic ({}), or annotate the sink with \
                      `// detlint: allow({rule}): <why>`",
-                    origin_fix(info.class),
+                    class_text(info.class).1,
                 ),
             });
         }
@@ -525,7 +527,7 @@ pub fn findings(ws: &Workspace, analysis: &Analysis) -> Vec<IpaFinding> {
         // already anchored a sink finding is covered by it.
         if item.is_pub && !sink_reported {
             if let Some(ret) = &analysis.summaries[f].returns {
-                if ret.class == SourceClass::HashIter {
+                if ret.class == "SRC001" {
                     let origin_unit = &ws.files[ret.origin_file].unit;
                     out.push(IpaFinding {
                         rule: "IPA004",
@@ -573,16 +575,27 @@ fn render_chain(ws: &Workspace, f: usize, info: &TaintInfo, sink: &str, sink_lin
     parts.join(" -> ")
 }
 
-/// The class-appropriate fix the suggestion names.
-fn origin_fix(class: SourceClass) -> &'static str {
+/// How a diagnostic names an origin class, and the fix its suggestion
+/// names.
+fn class_text(class: &str) -> (&'static str, &'static str) {
     match class {
-        SourceClass::HashIter => "BTreeMap/BTreeSet or an explicit sort",
-        SourceClass::WallClock => "simulated time instead of wall clock",
-        SourceClass::Entropy => "a seeded Xorshift64Star",
-        SourceClass::ParFloat => "integer/fixed-point accumulation",
-        SourceClass::RelaxedAtomic => "AcqRel ordering or a sequential merge",
-        SourceClass::AdHocThread => "the sanctioned par_map fan-out",
-        SourceClass::EnvRead => "explicit configuration plumbing",
+        "SRC001" => (
+            "hash-order iteration",
+            "BTreeMap/BTreeSet or an explicit sort",
+        ),
+        "SRC002" => ("wall-clock read", "simulated time instead of wall clock"),
+        "SRC003" => ("ambient entropy", "a seeded Xorshift64Star"),
+        "SRC004" => (
+            "par_map float accumulation",
+            "integer/fixed-point accumulation",
+        ),
+        "SRC005" => (
+            "relaxed-atomic read",
+            "AcqRel ordering or a sequential merge",
+        ),
+        "SRC006" => ("ad-hoc thread result", "the sanctioned par_map fan-out"),
+        // SRC007, the last of the seven classes.
+        _ => ("environment read", "explicit configuration plumbing"),
     }
 }
 
@@ -603,7 +616,7 @@ mod tests {
              let v: Vec<u32> = m.keys().copied().collect();\n    v\n}\n",
         );
         let ret = a.summaries[0].returns.as_ref().expect("tainted");
-        assert_eq!(ret.class, SourceClass::HashIter);
+        assert_eq!(ret.class, "SRC001");
         assert_eq!(ret.origin_line, 2);
         assert!(ret.chain.is_empty(), "no call boundary crossed yet");
         let _ = ws;

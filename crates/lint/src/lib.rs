@@ -14,16 +14,15 @@
 //! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] / [`lint_fault_plan`] —
 //!   configurations that would starve or fail to schedule, and fault plans
 //!   no retry budget covers (CF002–CF008).
-//! * [`lint_trace`] / [`lint_fault_trace`] / [`lint_shard_lookahead`] — DES
-//!   schedules whose outcome depends on event scheduling order, fault traces
-//!   merged outside the canonical order, and cross-shard events below their
-//!   link lookahead (DS001–DS004, DS006).
+//! * [`lint_trace`] / [`lint_fault_trace`] — DES schedules whose outcome
+//!   depends on event scheduling order, and fault traces merged outside the
+//!   canonical order (DS001–DS004).
 //! * [`lint_source`] / [`lint_source_tree`] — the `coyote-detlint`
-//!   source-level determinism analyzer: hash-order iteration, wall-clock
-//!   and entropy escapes, float reductions in `par_map`, relaxed atomics,
-//!   ad-hoc threads, environment reads (SRC001–SRC007).
-//! * [`lint_ipa_workspace`] / [`lint_ipa_sources`] — the interprocedural
-//!   determinism taint analyzer: workspace call graph, source→sink taint
+//!   determinism analyzer, one scan and one verdict over the workspace's
+//!   own Rust code: per-line hazards — hash-order iteration, wall-clock and
+//!   entropy escapes, float math in `par_map`, relaxed atomics, ad-hoc
+//!   threads, environment reads (SRC001–SRC007) — and the interprocedural
+//!   taint those findings seed: workspace call graph, source→sink
 //!   propagation with full call chains, suppression-drift audit
 //!   (IPA001–IPA005).
 //! * [`platform`] — the whole-platform analyzer: joins a shell spec's
@@ -54,10 +53,9 @@ pub mod source;
 
 pub use bitstream::{lint_bitstream, DeployContext};
 pub use config::{lint_fault_plan, lint_mmu, lint_qp, lint_shell, QpSpec};
-pub use des::{lint_fault_trace, lint_replay_divergence, lint_shard_lookahead, lint_trace};
+pub use des::{lint_fault_trace, lint_replay_divergence, lint_trace};
 pub use diag::{Diagnostic, LintConfig, Location, Report, Severity};
 pub use floorplan::{lint_floorplan, PartitionDemand};
-pub use ipa::{lint_ipa_sources, lint_ipa_workspace};
 pub use netlist::lint_netlist;
 pub use platform::{build_platform_graph, PlatformGraph};
 pub use rules::{render_catalog, rule, Layer, RuleInfo, CATALOG};

@@ -25,7 +25,7 @@ pub enum Layer {
     /// The joined cross-layer platform resource graph of a shell spec.
     Platform,
     /// Interprocedural determinism taint analysis over the whole
-    /// workspace call graph (`--ipa`).
+    /// workspace call graph (the second half of `--source`).
     Interproc,
 }
 
@@ -259,15 +259,6 @@ pub const CATALOG: &[RuleInfo] = &[
              FaultTrace::merged, so the published hash depends on collection order",
     },
     RuleInfo {
-        id: "DS006",
-        layer: Layer::Des,
-        severity: Severity::Error,
-        description:
-            "cross-shard event scheduled with a delay below the declared link lookahead: the \
-             conservative window cannot order it, so determinism across worker counts is \
-             forfeit",
-    },
-    RuleInfo {
         id: "DS007",
         layer: Layer::Des,
         severity: Severity::Error,
@@ -306,8 +297,9 @@ pub const CATALOG: &[RuleInfo] = &[
         layer: Layer::Source,
         severity: Severity::Warning,
         description:
-            "floating-point arithmetic inside a par_map worker: float reduction is not \
-             associative, so any cross-slot merge becomes schedule-dependent",
+            "floating-point math (a float literal or an f32/f64 cast) inside a par_map \
+             worker: float reduction is not associative, so any cross-slot merge becomes \
+             schedule-dependent",
     },
     RuleInfo {
         id: "SRC005",
@@ -420,7 +412,7 @@ pub const CATALOG: &[RuleInfo] = &[
             "two tenants use a shell service the platform never declared shared \
              (undeclared contention / covert channel)",
     },
-    // --- Interprocedural taint (--ipa) --------------------------------
+    // --- Interprocedural taint (--source) -----------------------------
     RuleInfo {
         id: "IPA001",
         layer: Layer::Interproc,
@@ -467,6 +459,11 @@ pub const CATALOG: &[RuleInfo] = &[
 /// Look up a rule by id.
 pub fn rule(id: &str) -> Option<&'static RuleInfo> {
     CATALOG.iter().find(|r| r.id == id)
+}
+
+/// A rule's catalog severity (`Warning` for an id the catalog lacks).
+pub(crate) fn severity(id: &str) -> Severity {
+    rule(id).map_or(Severity::Warning, |r| r.severity)
 }
 
 /// Render the catalog as a table (the CLI's `--catalog`).

@@ -25,6 +25,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
             findings.push(Finding {
                 rule: "SRC005",
                 line: t.line,
+                tok: i,
                 message: "`Ordering::Relaxed` access: value is schedule-dependent if it \
                           reaches any artifact"
                     .to_string(),

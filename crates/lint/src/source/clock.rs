@@ -34,6 +34,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
             findings.push(Finding {
                 rule: "SRC002",
                 line: t.line,
+                tok: i,
                 message: format!(
                     "`{ty}::{what}` reads the wall clock; results become run-dependent"
                 ),

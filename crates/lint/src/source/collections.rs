@@ -14,15 +14,15 @@
 //! `drain`, `retain`, ...) and `for … in` loops whose iterated expression
 //! is the bare collection.
 
-use super::lex::Token;
+use super::lex::{Token, TokenKind};
 use super::Finding;
 use std::collections::BTreeSet;
 
 /// Hash-collection type names.
-pub(crate) const HASH_TYPES: [&str; 2] = ["HashMap", "HashSet"];
+const HASH_TYPES: [&str; 2] = ["HashMap", "HashSet"];
 
 /// Methods whose callbacks observe bucket order.
-pub(crate) const ITER_METHODS: [&str; 11] = [
+const ITER_METHODS: [&str; 11] = [
     "iter",
     "iter_mut",
     "keys",
@@ -37,7 +37,7 @@ pub(crate) const ITER_METHODS: [&str; 11] = [
 ];
 
 /// Names in this file bound to a hash-collection type.
-pub(crate) fn hash_bound_names(tokens: &[Token]) -> BTreeSet<String> {
+fn hash_bound_names(tokens: &[Token]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for (i, t) in tokens.iter().enumerate() {
         if !HASH_TYPES.iter().any(|h| t.is_ident(h)) {
@@ -53,7 +53,7 @@ pub(crate) fn hash_bound_names(tokens: &[Token]) -> BTreeSet<String> {
         while j >= 1
             && (tokens[j - 1].is_punct('&')
                 || tokens[j - 1].is_ident("mut")
-                || tokens[j - 1].kind == super::lex::TokenKind::Lifetime)
+                || tokens[j - 1].kind == TokenKind::Lifetime)
         {
             j -= 1;
         }
@@ -64,28 +64,18 @@ pub(crate) fn hash_bound_names(tokens: &[Token]) -> BTreeSet<String> {
         // A single `:` (not `::`) directly before the path start.
         if tokens[j - 1].is_punct(':') && j >= 2 && !tokens[j - 2].is_punct(':') {
             if let Some(name) = tokens.get(j.wrapping_sub(2)) {
-                if name.kind == super::lex::TokenKind::Ident {
+                if name.kind == TokenKind::Ident {
                     names.insert(name.text.clone());
                     continue;
                 }
             }
         }
-        // `let [mut] name = [path] HashMap :: new` / `HashMap :: from` ...
-        if tokens[j - 1].is_punct('=') {
-            let mut k = j - 1;
-            if k >= 1 && tokens[k - 1].kind == super::lex::TokenKind::Ident {
-                let name_idx = k - 1;
-                if tokens[name_idx].is_ident("mut") {
-                    continue;
-                }
-                // Accept `let name =` and `let mut name =`; also plain
-                // `name = HashMap::new()` re-assignments.
-                let name = tokens[name_idx].text.clone();
-                if k >= 2 && tokens[k - 2].is_ident("mut") {
-                    k -= 1;
-                }
-                let _ = k;
-                names.insert(name);
+        // `let [mut] name = [path] HashMap :: new` / `HashMap :: from` ...,
+        // and plain `name = HashMap::new()` re-assignments.
+        if tokens[j - 1].is_punct('=') && j >= 2 {
+            let name = &tokens[j - 2];
+            if name.kind == TokenKind::Ident && !name.is_ident("mut") {
+                names.insert(name.text.clone());
             }
         }
         // `= [path] HashMap :: new ( )` with turbofish or generics between
@@ -104,7 +94,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
 
     for (i, t) in tokens.iter().enumerate() {
         // `name . method (` where method observes order.
-        if t.kind == super::lex::TokenKind::Ident && names.contains(&t.text) {
+        if t.kind == TokenKind::Ident && names.contains(&t.text) {
             if let (Some(dot), Some(method), Some(open)) =
                 (tokens.get(i + 1), tokens.get(i + 2), tokens.get(i + 3))
             {
@@ -115,6 +105,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
                     findings.push(Finding {
                         rule: "SRC001",
                         line: t.line,
+                        tok: i,
                         message: format!(
                             "`{}` is a hash collection; `.{}()` observes random bucket order",
                             t.text, method.text
@@ -149,28 +140,27 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
                 j += 1;
             }
             let Some(in_idx) = found_in else { continue };
-            // Collect expression tokens until the body `{`.
-            let mut expr = Vec::new();
-            let mut k = in_idx + 1;
-            while k < tokens.len() && !tokens[k].is_punct('{') && expr.len() < 8 {
-                expr.push(&tokens[k]);
-                k += 1;
-            }
+            // The expression tokens up to the body `{`, minus `&`/`mut`.
             // Accept shapes: [&] [mut] name | [&] [mut] self . name.
-            let core: Vec<&&Token> = expr
-                .iter()
-                .filter(|t| !(t.is_punct('&') || t.is_ident("mut")))
+            let core: Vec<usize> = (in_idx + 1..tokens.len())
+                .take_while(|&k| !tokens[k].is_punct('{'))
+                .take(8)
+                .filter(|&k| !(tokens[k].is_punct('&') || tokens[k].is_ident("mut")))
                 .collect();
             let name = match core.as_slice() {
                 [n] => Some(*n),
-                [s, dot, n] if s.is_ident("self") && dot.is_punct('.') => Some(*n),
+                [s, dot, n] if tokens[*s].is_ident("self") && tokens[*dot].is_punct('.') => {
+                    Some(*n)
+                }
                 _ => None,
             };
-            if let Some(n) = name {
-                if n.kind == super::lex::TokenKind::Ident && names.contains(&n.text) {
+            if let Some(n_idx) = name {
+                let n = &tokens[n_idx];
+                if n.kind == TokenKind::Ident && names.contains(&n.text) {
                     findings.push(Finding {
                         rule: "SRC001",
                         line: n.line,
+                        tok: n_idx,
                         message: format!(
                             "`for … in {}` iterates a hash collection in random bucket order",
                             n.text

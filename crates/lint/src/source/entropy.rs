@@ -22,11 +22,12 @@ const ENTROPY_IDENTS: [&str; 5] = [
 
 /// Report SRC003 findings.
 pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
-    for t in tokens {
+    for (i, t) in tokens.iter().enumerate() {
         if let Some(name) = ENTROPY_IDENTS.iter().find(|n| t.is_ident(n)) {
             findings.push(Finding {
                 rule: "SRC003",
                 line: t.line,
+                tok: i,
                 message: format!("`{name}` draws ambient entropy; runs are no longer replayable"),
                 suggestion: Some(
                     "derive all randomness from a seeded coyote_sim::Xorshift64Star".to_string(),

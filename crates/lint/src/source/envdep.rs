@@ -25,6 +25,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
             findings.push(Finding {
                 rule: "SRC007",
                 line: t.line,
+                tok: i,
                 message: format!(
                     "`env::{what}` read: the result depends on process environment, which no \
                      seed captures"

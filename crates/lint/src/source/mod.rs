@@ -1,4 +1,5 @@
-//! `coyote-detlint`: the source-level determinism analyzer (SRC001–SRC007).
+//! `coyote-detlint`: the source-level determinism analyzer (SRC001–SRC007
+//! per line, IPA001–IPA005 across calls).
 //!
 //! The DES rules (`DS00x`) audit *recorded traces* — they catch a
 //! nondeterministic schedule after it ran. This module family audits the
@@ -6,25 +7,32 @@
 //! constructs that make results depend on anything other than
 //! `(inputs, seed)` — hash-order iteration, wall-clock reads, ambient
 //! entropy, cross-slot float reductions, relaxed atomics, ad-hoc threads
-//! and environment reads. One rule per submodule:
+//! and environment reads. One rule per submodule, and these submodules are
+//! the only code that recognizes the seven shapes:
 //!
 //! | rule   | module        | hazard                                     |
 //! |--------|---------------|--------------------------------------------|
 //! | SRC001 | `collections` | HashMap/HashSet iteration order            |
 //! | SRC002 | `clock`       | `Instant::now` / `SystemTime::now`         |
 //! | SRC003 | `entropy`     | `thread_rng` / `OsRng` / `RandomState`     |
-//! | SRC004 | `parfloat`    | float accumulation inside `par_map`        |
+//! | SRC004 | `parfloat`    | float math inside `par_map`                |
 //! | SRC005 | `atomics`     | `Ordering::Relaxed`                        |
 //! | SRC006 | `threads`     | spawns outside the sanctioned fan-out      |
 //! | SRC007 | `envdep`      | `std::env::var` reads                      |
 //!
+//! One scan gives one verdict: [`lint_source_tree`] walks and lexes each
+//! file once into an [`ipa::index::Workspace`](crate::ipa::index::Workspace),
+//! reports the raw SRC findings its `detlint: allow` lines do not cover,
+//! and hands the same findings to the interprocedural pass
+//! ([`crate::ipa`]) as its taint origins.
+//!
 //! The analyzer is deliberately token-level, not type-level: it trades
 //! false-negative paths (a HashMap smuggled through a type alias) for
-//! zero build-graph coupling — it lints a file in isolation, fast enough
-//! to gate CI on the whole workspace. Sanctioned sites opt out in place
-//! with `// detlint: allow(SRC00x): <why>`, which keeps the justification
-//! in the code under review. `#[cfg(test)]` items are skipped entirely:
-//! the determinism contract covers shipped code.
+//! zero build-graph coupling — fast enough to gate CI on the whole
+//! workspace. Sanctioned sites opt out in place with
+//! `// detlint: allow(SRC00x): <why>`, which keeps the justification in
+//! the code under review. `#[cfg(test)]` items are skipped entirely: the
+//! determinism contract covers shipped code.
 
 pub mod lex;
 
@@ -37,6 +45,7 @@ pub(crate) mod parfloat;
 pub(crate) mod threads;
 
 use crate::diag::{Diagnostic, Location, Report};
+use crate::ipa::{self, index::Workspace};
 use crate::rules;
 use std::fs;
 use std::io;
@@ -47,15 +56,15 @@ use std::path::{Path, PathBuf};
 pub(crate) struct Finding {
     pub(crate) rule: &'static str,
     pub(crate) line: u32,
+    /// Index of the flagged token in the (cfg(test)-stripped) stream: the
+    /// taint pass seeds every span that contains it.
+    pub(crate) tok: usize,
     pub(crate) message: String,
     pub(crate) suggestion: Option<String>,
 }
 
 /// Run all seven SRC checks over a (cfg(test)-stripped) token stream and
 /// return the raw findings, pre-suppression, sorted by (line, rule).
-/// `lint_source` filters these through the allow directives; the
-/// interprocedural suppression-drift audit (IPA005) instead compares them
-/// *against* the directives to find stale ones.
 pub(crate) fn raw_findings(tokens: &[lex::Token]) -> Vec<Finding> {
     let mut findings = Vec::new();
     collections::check(tokens, &mut findings);
@@ -69,34 +78,38 @@ pub(crate) fn raw_findings(tokens: &[lex::Token]) -> Vec<Finding> {
     findings
 }
 
-/// Analyze one source file's text. `unit` names the file in diagnostics
-/// (conventionally its workspace-relative path); locations are
-/// `src:<unit>` / `L<line>`.
-pub fn lint_source(unit: &str, text: &str) -> Report {
-    let file = lex::lex(text);
-    let tokens = lex::strip_cfg_test(file.tokens.clone());
-    let findings = raw_findings(&tokens);
-
+/// Analyze `(unit, text)` sources as one workspace: every file's SRC
+/// findings not covered by a `detlint: allow` line (location
+/// `src:<unit>` / `L<line>`), then the interprocedural findings
+/// (`ipa:<unit>`).
+fn lint_workspace(sources: &[(String, String)]) -> Report {
+    let ws = Workspace::index(sources);
     let mut report = Report::new();
-    for f in findings {
-        if file.is_allowed(f.rule, f.line) {
-            continue;
+    for file in &ws.files {
+        for f in &file.src_findings {
+            if file.is_allowed(f.rule, f.line) {
+                continue;
+            }
+            let mut d = Diagnostic::new(
+                f.rule,
+                rules::severity(f.rule),
+                Location::new(format!("src:{}", file.unit), format!("L{}", f.line)),
+                f.message.clone(),
+            );
+            if let Some(s) = &f.suggestion {
+                d = d.with_suggestion(s.clone());
+            }
+            report.push(d);
         }
-        let severity = rules::rule(f.rule)
-            .map(|r| r.severity)
-            .unwrap_or(crate::diag::Severity::Warning);
-        let mut d = Diagnostic::new(
-            f.rule,
-            severity,
-            Location::new(format!("src:{unit}"), format!("L{}", f.line)),
-            f.message,
-        );
-        if let Some(s) = f.suggestion {
-            d = d.with_suggestion(s);
-        }
-        report.push(d);
     }
+    report.extend(ipa::check(&ws));
     report
+}
+
+/// Analyze one source file's text as a one-file workspace. `unit` names
+/// the file in diagnostics (conventionally its workspace-relative path).
+pub fn lint_source(unit: &str, text: &str) -> Report {
+    lint_workspace(&[(unit.to_string(), text.to_string())])
 }
 
 /// Directories never scanned: build output, vendored deps, lint fixtures
@@ -107,9 +120,8 @@ const SKIP_DIRS: [&str; 7] = [
 ];
 
 /// Recursively collect `.rs` files under `root`, sorted, honoring
-/// [`SKIP_DIRS`]. Shared with the interprocedural analyzer so both scans
-/// see the same tree.
-pub(crate) fn collect_rs_files(root: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// [`SKIP_DIRS`].
+fn collect_rs_files(root: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(root)?
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
@@ -131,21 +143,21 @@ pub(crate) fn collect_rs_files(root: &Path, out: &mut Vec<PathBuf>) -> io::Resul
 }
 
 /// Analyze every `.rs` file under `root` (recursively, deterministic
-/// order), naming each file by its path relative to `root`.
+/// order) as one workspace, naming each file by its path relative to
+/// `root`.
 pub fn lint_source_tree(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
-    let mut report = Report::new();
+    let mut sources = Vec::with_capacity(files.len());
     for path in &files {
-        let text = fs::read_to_string(path)?;
         let unit = path
             .strip_prefix(root)
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        report.extend(lint_source(&unit, &text));
+        sources.push((unit, fs::read_to_string(path)?));
     }
-    Ok(report)
+    Ok(lint_workspace(&sources))
 }
 
 #[cfg(test)]
@@ -249,6 +261,14 @@ fn f(xs: &[u64]) {
             rules_fired("fn f(s: &Scope) { s.spawn(|| {}); }"),
             vec!["SRC006"]
         );
+        // The import names `thread::spawn` (L1); the bare call is the spawn
+        // itself (L2).
+        let r = lint_source("t.rs", "use std::thread::spawn;\nfn f() { spawn(|| {}); }");
+        let lines: Vec<&str> = r
+            .of_rule("SRC006")
+            .map(|d| d.location.path.as_str())
+            .collect();
+        assert_eq!(lines, vec!["L1", "L2"], "{}", r.render_human());
     }
 
     #[test]

@@ -7,19 +7,14 @@
 //! across items it happens to claim (`sum += x as f64`) produces
 //! different bits depending on which items its thread drew. Per-slot
 //! float math that never crosses slots is fine — which is why this rule
-//! is a warning, not an error: it flags float arithmetic inside the
+//! is a warning, not an error: it flags float math inside the
 //! `par_map(...)` call region for a human to classify.
 
 use super::lex::{Token, TokenKind};
 use super::Finding;
 
-/// Is this token an arithmetic operator a float could flow through?
-fn is_arith(t: &Token) -> bool {
-    t.is_punct('+') || t.is_punct('-') || t.is_punct('*') || t.is_punct('/')
-}
-
-/// Report SRC004 findings: float literals or `f32`/`f64` casts adjacent to
-/// arithmetic inside a `par_map(...)` call. One finding per call site.
+/// Report SRC004 findings: a float literal or an `as f32`/`as f64` cast
+/// inside a `par_map(...)` call. One finding per call site.
 pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
     let mut i = 0usize;
     while i < tokens.len() {
@@ -43,16 +38,14 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
                 }
             }
             if !flagged {
-                let float_literal_in_arith = t.kind == TokenKind::Float
-                    && (j > 0 && is_arith(&tokens[j - 1])
-                        || tokens.get(j + 1).is_some_and(is_arith));
                 let float_cast = (t.is_ident("f32") || t.is_ident("f64"))
                     && j > 0
                     && tokens[j - 1].is_ident("as");
-                if float_literal_in_arith || float_cast {
+                if t.kind == TokenKind::Float || float_cast {
                     findings.push(Finding {
                         rule: "SRC004",
                         line: t.line,
+                        tok: j,
                         message: format!(
                             "float arithmetic inside the par_map call at line {call_line}: \
                              a cross-slot reduction would be schedule-dependent"

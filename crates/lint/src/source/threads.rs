@@ -11,14 +11,18 @@
 use super::lex::Token;
 use super::Finding;
 
-/// Report SRC006 findings: `thread :: spawn`, `thread :: scope`, and
-/// `<receiver> . spawn (` scope-handle spawns.
+/// Report SRC006 findings: `thread :: spawn`, `thread :: scope`, and any
+/// other `spawn (` — a `<receiver> . spawn (` scope-handle spawn or a bare
+/// `spawn (` imported with `use std::thread::spawn`.
 pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
-    for (i, t) in tokens.iter().enumerate() {
-        // `thread :: spawn` / `thread :: scope`.
-        if t.is_ident("thread")
+    let is_thread_path = |i: usize| {
+        tokens[i].is_ident("thread")
             && tokens.get(i + 1).is_some_and(|a| a.is_punct(':'))
             && tokens.get(i + 2).is_some_and(|b| b.is_punct(':'))
+    };
+    for (i, t) in tokens.iter().enumerate() {
+        // `thread :: spawn` / `thread :: scope`.
+        if is_thread_path(i)
             && tokens
                 .get(i + 3)
                 .is_some_and(|m| m.is_ident("spawn") || m.is_ident("scope"))
@@ -27,6 +31,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
             findings.push(Finding {
                 rule: "SRC006",
                 line: t.line,
+                tok: i,
                 message: format!(
                     "`thread::{what}` outside the sanctioned par_map fan-out: the result \
                      merge is no longer input-ordered"
@@ -38,17 +43,18 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
             });
             continue;
         }
-        // `scope . spawn (` — a scoped-thread handle.
+        // `scope . spawn (` / bare `spawn (`; `thread :: spawn` was reported
+        // at its `thread` token above, and `fn spawn (` defines, not spawns.
         if t.is_ident("spawn")
-            && i >= 1
-            && tokens[i - 1].is_punct('.')
             && tokens.get(i + 1).is_some_and(|p| p.is_punct('('))
+            && !(i >= 3 && is_thread_path(i - 3))
+            && !(i >= 1 && tokens[i - 1].is_ident("fn"))
         {
             findings.push(Finding {
                 rule: "SRC006",
                 line: t.line,
-                message: "`.spawn(...)` scoped-thread launch outside the sanctioned \
-                          par_map fan-out"
+                tok: i,
+                message: "`spawn(...)` thread launch outside the sanctioned par_map fan-out"
                     .to_string(),
                 suggestion: Some(
                     "express the parallelism as coyote_sim::par_map over an input slice"

@@ -68,6 +68,10 @@ fn exit_2_on_usage_and_io_errors() {
     assert_eq!(code(&run(&[])), 2);
     // Unknown option.
     assert_eq!(code(&run(&["--frobnicate"])), 2);
+    // The interprocedural pass is part of every --source scan, not a mode.
+    let out = run(&["--ipa", &fixture("ipa/ipa001_chain.rs")]);
+    assert_eq!(code(&out), 2);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option '--ipa'"));
     // Unknown rule id.
     assert_eq!(code(&run(&["--allow", "ZZ999", "x.json"])), 2);
     // Nonexistent file.
@@ -224,7 +228,7 @@ fn strict_gate_refuses_unschedulable_specs_in_a_directory() {
 
 #[test]
 fn ipa_mode_reports_the_full_call_chain() {
-    let out = run(&["--ipa", &fixture("ipa/ipa001_chain.rs")]);
+    let out = run(&["--source", &fixture("ipa/ipa001_chain.rs")]);
     assert_eq!(code(&out), 1, "IPA001 is error severity");
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("IPA001"), "{text}");
@@ -240,43 +244,52 @@ fn ipa_mode_reports_the_full_call_chain() {
 
 #[test]
 fn ipa_strict_gates_on_taint_errors_and_passes_clean() {
-    let out = run(&["--ipa", "--strict", &fixture("ipa/ipa001_chain.rs")]);
+    let out = run(&["--source", "--strict", &fixture("ipa/ipa001_chain.rs")]);
     assert_eq!(
         code(&out),
         2,
         "--strict turns the taint path into a gate failure"
     );
-    let out = run(&["--ipa", "--strict", &fixture("ipa/ipa001_clean.rs")]);
+    // The clean fixture carries no taint path, only the per-line SRC001 at
+    // its origin; with that rule allowed, the gate passes.
+    let clean = fixture("ipa/ipa001_clean.rs");
+    let out = run(&["--source", "--strict", &clean]);
+    assert_eq!(code(&out), 2);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("SRC001") && !text.contains("IPA"), "{text}");
+    let out = run(&["--source", "--strict", "--allow", "SRC001", &clean]);
     assert_eq!(code(&out), 0);
     // Warning-severity IPA rules report without failing the gate.
-    let out = run(&["--ipa", "--strict", &fixture("ipa/ipa005_stale.rs")]);
+    let out = run(&["--source", "--strict", &fixture("ipa/ipa005_stale.rs")]);
     assert_eq!(code(&out), 0);
     assert!(String::from_utf8_lossy(&out.stdout).contains("IPA005"));
 }
 
 #[test]
 fn ipa_directory_scan_joins_files_into_one_workspace() {
-    // Pointing --ipa at the fixture directory indexes every file into one
-    // call graph and reports each seeded violation, deterministically.
-    let out = run(&["--ipa", &fixture("ipa")]);
+    // Pointing --source at the fixture directory indexes every file into
+    // one call graph and reports each seeded violation, deterministically.
+    let out = run(&["--source", &fixture("ipa")]);
     assert_eq!(code(&out), 1);
     let text = String::from_utf8_lossy(&out.stdout);
     for rule in ["IPA001", "IPA002", "IPA003", "IPA004", "IPA005"] {
         assert!(text.contains(rule), "directory scan must report {rule}");
     }
-    let again = run(&["--ipa", &fixture("ipa")]);
+    let again = run(&["--source", &fixture("ipa")]);
     assert_eq!(out.stdout, again.stdout, "ipa scan must be deterministic");
 }
 
 #[test]
 fn ipa_json_carries_the_chain_and_round_trips() {
     let path = fixture("ipa/ipa001_chain.rs");
-    let out = run(&["--ipa", "--json", &path]);
+    let out = run(&["--source", "--json", &path]);
     assert_eq!(code(&out), 1);
     let parsed: Report =
         serde_json::from_slice(&out.stdout).expect("stdout must be a valid Report");
-    assert_eq!(parsed.diagnostics.len(), 1);
-    let d = &parsed.diagnostics[0];
+    // The taint origin's SRC001 comes first, then the one IPA001.
+    assert_eq!(parsed.diagnostics.len(), 2);
+    assert_eq!(parsed.diagnostics[0].rule_id, "SRC001");
+    let d = &parsed.diagnostics[1];
     assert_eq!(d.rule_id, "IPA001");
     assert_eq!(d.location.path, "L15");
     assert!(d.location.unit.starts_with("ipa:"));
@@ -296,7 +309,10 @@ fn json_output_round_trips_through_the_report_schema() {
     assert_eq!(code(&out), 1);
     let parsed: Report =
         serde_json::from_slice(&out.stdout).expect("stdout must be a valid Report");
-    assert_eq!(parsed.diagnostics.len(), 1);
+    // SRC001, then the IPA004 the same scan adds: `frame_order` is `pub`
+    // and returns the bucket-ordered vector.
+    assert_eq!(parsed.diagnostics.len(), 2);
+    assert_eq!(parsed.diagnostics[1].rule_id, "IPA004");
     let d = &parsed.diagnostics[0];
     assert_eq!(d.rule_id, "SRC001");
     assert_eq!(d.location.path, "L7");

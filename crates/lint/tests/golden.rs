@@ -11,11 +11,10 @@ use coyote_fabric::{
     ResourceVec, ShellProfile, FRAME_RECORD_BYTES, HEADER_BYTES,
 };
 use coyote_lint::{
-    lint_bitstream, lint_fault_trace, lint_floorplan, lint_netlist, lint_shard_lookahead,
-    lint_shell_spec, lint_source, lint_trace, DeployContext, PartitionDemand, Report, Severity,
-    ShellSpec,
+    lint_bitstream, lint_fault_trace, lint_floorplan, lint_netlist, lint_shell_spec, lint_source,
+    lint_trace, DeployContext, PartitionDemand, Report, Severity, ShellSpec,
 };
-use coyote_sim::{EventTag, ShardTrace, ShardTraceEntry, SimDuration, DOMAIN_DMA, DOMAIN_NET};
+use coyote_sim::{EventTag, ShardTrace, ShardTraceEntry};
 use coyote_synth::{CellKind, Net, Netlist};
 use std::collections::BTreeSet;
 
@@ -651,29 +650,6 @@ fn ds007_replay_divergence() {
     assert_fires(&r, "DS007", "trace:ring-storm", "t=0ps");
 }
 
-#[test]
-fn ds006_below_lookahead_shard_crossing() {
-    // An event crossing from the net shard domain to the DMA shard domain
-    // with a 1ns delay, against a link that promises 5ns lookahead: the
-    // conservative window cannot order it.
-    let crossing = EventTag {
-        src_domain: Some(DOMAIN_NET),
-        ..EventTag::target(3).domain(DOMAIN_DMA)
-    };
-    let decls = [(DOMAIN_NET, DOMAIN_DMA, SimDuration::from_ns(5))];
-    let r = lint_shard_lookahead(
-        "shards",
-        &des_trace(vec![event(0, 1_000, crossing)]),
-        &decls,
-    );
-    assert_fires(&r, "DS006", "trace:shards", "t=1000ps");
-    assert!(r.has_errors());
-
-    // The same crossing at the declared lookahead is clean.
-    let trace = des_trace(vec![event(0, 5_000, crossing)]);
-    assert!(lint_shard_lookahead("shards", &trace, &decls).is_clean());
-}
-
 // ----------------------------------------------------- source (detlint)
 
 fn source_fixture(name: &str) -> Report {
@@ -684,22 +660,27 @@ fn source_fixture(name: &str) -> Report {
 
 #[test]
 fn src_rules_fire_on_seeded_fixtures_at_exact_locations() {
+    // The fourth field is the interprocedural finding the same scan adds:
+    // `frame_order` is `pub` and returns the bucket-ordered vector.
     let cases = [
-        ("src001_bad.rs", "SRC001", "L7"),
-        ("src002_bad.rs", "SRC002", "L4"),
-        ("src003_bad.rs", "SRC003", "L5"),
-        ("src004_bad.rs", "SRC004", "L4"),
-        ("src005_bad.rs", "SRC005", "L6"),
-        ("src006_bad.rs", "SRC006", "L5"),
-        ("src007_bad.rs", "SRC007", "L5"),
+        ("src001_bad.rs", "SRC001", "L7", Some(("IPA004", "L5"))),
+        ("src002_bad.rs", "SRC002", "L4", None),
+        ("src003_bad.rs", "SRC003", "L5", None),
+        ("src004_bad.rs", "SRC004", "L4", None),
+        ("src005_bad.rs", "SRC005", "L6", None),
+        ("src006_bad.rs", "SRC006", "L5", None),
+        ("src007_bad.rs", "SRC007", "L5", None),
     ];
-    for (file, rule, line) in cases {
+    for (file, rule, line, ipa) in cases {
         let r = source_fixture(file);
         assert_fires(&r, rule, &format!("src:{file}"), line);
+        if let Some((ipa_rule, ipa_line)) = ipa {
+            assert_fires(&r, ipa_rule, &format!("ipa:{file}"), ipa_line);
+        }
         // The seeded fixture trips exactly its own rule, nothing else.
         assert_eq!(
             r.diagnostics.len(),
-            1,
+            1 + usize::from(ipa.is_some()),
             "{file} must fire only {rule}:\n{}",
             r.render_human()
         );
@@ -740,25 +721,31 @@ fn src_severities_match_the_catalog() {
 fn ipa_fixture(name: &str) -> Report {
     let path = format!("{}/fixtures/ipa/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    coyote_lint::lint_ipa_sources(&[(name.to_string(), text)])
+    lint_source(name, &text)
 }
 
 #[test]
 fn ipa_rules_fire_on_seeded_fixtures_at_exact_locations() {
+    // The fourth field is the SRC finding at the taint origin, which the
+    // same scan reports per line.
     let cases = [
-        ("ipa001_chain.rs", "IPA001", "L15"),
-        ("ipa002_post.rs", "IPA002", "L10"),
-        ("ipa003_launder.rs", "IPA003", "L12"),
-        ("ipa004_pub_iter.rs", "IPA004", "L5"),
-        ("ipa005_stale.rs", "IPA005", "L5"),
+        ("ipa001_chain.rs", "IPA001", "L15", Some(("SRC001", "L6"))),
+        ("ipa002_post.rs", "IPA002", "L10", Some(("SRC007", "L5"))),
+        ("ipa003_launder.rs", "IPA003", "L12", Some(("SRC001", "L6"))),
+        ("ipa004_pub_iter.rs", "IPA004", "L5", Some(("SRC001", "L6"))),
+        ("ipa005_stale.rs", "IPA005", "L5", None),
     ];
-    for (file, rule, line) in cases {
+    for (file, rule, line, origin) in cases {
         let r = ipa_fixture(file);
         assert_fires(&r, rule, &format!("ipa:{file}"), line);
-        // The seeded fixture trips exactly its own rule, nothing else.
+        if let Some((src_rule, src_line)) = origin {
+            assert_fires(&r, src_rule, &format!("src:{file}"), src_line);
+        }
+        // The seeded fixture trips exactly its own rule and origin, nothing
+        // else.
         assert_eq!(
             r.diagnostics.len(),
-            1,
+            1 + usize::from(origin.is_some()),
             "{file} must fire only {rule}:\n{}",
             r.render_human()
         );
@@ -773,10 +760,14 @@ fn ipa_rules_fire_on_seeded_fixtures_at_exact_locations() {
 
 #[test]
 fn clean_ipa_fixtures_produce_zero_diagnostics() {
-    for file in ["ipa001_clean.rs", "ipa005_live.rs"] {
-        let r = ipa_fixture(file);
-        assert!(r.is_clean(), "{file}:\n{}", r.render_human());
-    }
+    // Zero interprocedural diagnostics. `ipa001_clean.rs` keeps its
+    // per-line SRC001: line 6 still iterates a HashMap, and the sort on
+    // line 7 is what stops the taint from travelling.
+    let r = ipa_fixture("ipa001_clean.rs");
+    assert_fires(&r, "SRC001", "src:ipa001_clean.rs", "L6");
+    assert_eq!(r.diagnostics.len(), 1, "{}", r.render_human());
+    let r = ipa_fixture("ipa005_live.rs");
+    assert!(r.is_clean(), "{}", r.render_human());
 }
 
 #[test]
@@ -930,9 +921,9 @@ fn every_catalog_rule_has_golden_coverage() {
         "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP001", "FP002", "FP003",
         "FP004", "FP005", "FP006", "FP007", "BS001", "BS002", "BS003", "BS004", "BS005", "BS006",
         "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008", "DS001", "DS002", "DS003",
-        "DS004", "DS006", "DS007", "SRC001", "SRC002", "SRC003", "SRC004", "SRC005", "SRC006",
-        "SRC007", "PG001", "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002",
-        "CAP003", "ISO001", "ISO002", "IPA001", "IPA002", "IPA003", "IPA004", "IPA005",
+        "DS004", "DS007", "SRC001", "SRC002", "SRC003", "SRC004", "SRC005", "SRC006", "SRC007",
+        "PG001", "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002", "CAP003",
+        "ISO001", "ISO002", "IPA001", "IPA002", "IPA003", "IPA004", "IPA005",
     ];
     // Both ways: a catalog rule without a golden test fails, and so does a
     // covered id whose rule left the catalog.

@@ -79,7 +79,7 @@ pub struct BisectFinding {
     pub actual: Option<ShardTraceEntry>,
     /// The lint rule families the field-level diff implicates.
     pub suspects: Vec<&'static str>,
-    /// Rendered expected-vs-actual comparison with shard/link context.
+    /// Rendered expected-vs-actual comparison with shard context.
     pub detail: String,
     /// The DS007 report (render with `render_human` / `render_json`).
     pub report: Report,
@@ -136,45 +136,6 @@ fn suspect_families(
     }
 }
 
-/// Cross-shard context from the declared link lookaheads: when the
-/// divergent event crossed shards, say what the link promised — an
-/// undercut lookahead (DS006 territory) is the classic cause of an event
-/// landing in an already-executed window.
-fn link_context(
-    e: &ShardTraceEntry,
-    decls: &[(u64, u64, coyote_sim::SimDuration)],
-) -> Option<(String, bool)> {
-    let (src, dst) = (e.src_domain?, e.domain?);
-    if src == dst {
-        return None;
-    }
-    let delay = e.at_ps.saturating_sub(e.posted_at_ps);
-    match decls.iter().find(|&&(s, d, _)| s == src && d == dst) {
-        Some(&(_, _, la)) => {
-            let undercut = delay < la.as_ps();
-            Some((
-                format!(
-                    "crossed {} -> {} with delay {}ps against a declared lookahead of {}ps{}",
-                    domain_name(src),
-                    domain_name(dst),
-                    delay,
-                    la.as_ps(),
-                    if undercut { " (UNDERCUT)" } else { "" },
-                ),
-                undercut,
-            ))
-        }
-        None => Some((
-            format!(
-                "crossed {} -> {} with no declared link lookahead",
-                domain_name(src),
-                domain_name(dst)
-            ),
-            true,
-        )),
-    }
-}
-
 /// Bisect two recordings of one workload to their first divergence.
 /// `None` means the recordings are identical in every compared stream.
 pub fn bisect(unit: &str, a: &Recording, b: &Recording) -> Option<BisectFinding> {
@@ -183,8 +144,8 @@ pub fn bisect(unit: &str, a: &Recording, b: &Recording) -> Option<BisectFinding>
         let expected = a.trace.entries().get(idx).copied();
         let actual = b.trace.entries().get(idx).copied();
         let at_ps = expected.or(actual).map_or(0, |e| e.at_ps);
-        let mut suspects = suspect_families(expected.as_ref(), actual.as_ref());
-        let mut detail = match (&expected, &actual) {
+        let suspects = suspect_families(expected.as_ref(), actual.as_ref());
+        let detail = match (&expected, &actual) {
             (Some(e), Some(x)) => {
                 format!("A ran [{}], B ran [{}]", render_entry(e), render_entry(x))
             }
@@ -192,18 +153,6 @@ pub fn bisect(unit: &str, a: &Recording, b: &Recording) -> Option<BisectFinding>
             (None, Some(x)) => format!("A's trace ended, B ran [{}]", render_entry(x)),
             (None, None) => "both traces ended".into(),
         };
-        // Cross-shard context from the topology both runs declared.
-        let decls = crate::scenario::build_topology(a.meta.config.topology).lookahead_decls();
-        for e in [&expected, &actual].into_iter().flatten() {
-            if let Some((ctx, undercut)) = link_context(e, &decls) {
-                detail.push_str("; ");
-                detail.push_str(&ctx);
-                if undercut && !suspects.contains(&"DS006") {
-                    suspects.insert(0, "DS006");
-                }
-                break;
-            }
-        }
         let report = coyote_lint::lint_replay_divergence(unit, idx, at_ps, &detail, &suspects);
         return Some(BisectFinding {
             stream: "events",

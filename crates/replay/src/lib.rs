@@ -16,7 +16,7 @@
 //! * **Bisector** ([`bisect`]) — binary-search two recordings (via prefix
 //!   FNV-64 hashes) to the first divergent [`coyote_sim::EventKey`] and
 //!   render an SRC/DS-style diagnosis through `coyote-lint`'s DS007 rule:
-//!   domain, shard, time, priority, origin, link-lookahead context, plus
+//!   domain, shard, time, priority, origin and posting time, plus
 //!   the suspect rule family.
 //!
 //! The recordable workloads ([`StormConfig`]) are pure functions of their

@@ -59,7 +59,8 @@ pub struct EventTag {
     pub domain: Option<u64>,
     /// Domain of the shard that *posted* the event, when it crossed a shard
     /// boundary. Owned by the engine: [`ShardCtx::post_after`] sets it, and
-    /// local schedules and seeds clear it. Feeds the DS006 lookahead lint.
+    /// local schedules and seeds clear it. Folded into the trace hash and
+    /// the `.cyt` recording format.
     pub src_domain: Option<u64>,
 }
 
@@ -102,8 +103,7 @@ pub enum PostError {
         dst: u64,
     },
     /// The post's delay undercuts the declared link lookahead — a causality
-    /// violation the conservative window cannot order (the runtime twin of
-    /// lint rule DS006).
+    /// violation the conservative window cannot order.
     BelowLookahead {
         /// Source domain.
         src: u64,
@@ -408,8 +408,7 @@ impl<W> ShardCtx<'_, W> {
     /// Post an event to the shard owning `dst_domain`, arriving `delay`
     /// after now. The delay must be at least the declared link lookahead —
     /// anything shorter is a causality violation the conservative window
-    /// cannot order, and is rejected (lint rule DS006 catches the same
-    /// hazard in recorded traces).
+    /// cannot order, and is rejected with [`PostError::BelowLookahead`].
     ///
     /// The tag's domain defaults to the destination domain; its
     /// `src_domain` is set to the posting shard's domain.

@@ -166,7 +166,7 @@ impl Topology {
     }
 
     /// Every declared link as `(src domain, dst domain, lookahead)` — the
-    /// table the DS006 lint checks recorded traces against.
+    /// table the platform resource graph draws its DES links from.
     pub fn lookahead_decls(&self) -> Vec<(u64, u64, SimDuration)> {
         self.links
             .iter()
