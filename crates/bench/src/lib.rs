@@ -13,9 +13,7 @@ pub mod cache;
 pub mod claims;
 pub mod experiments;
 pub mod netexp;
-pub mod recording;
 pub mod report;
-pub mod scaling;
 pub mod storm;
 
 pub use report::{ExperimentResult, Row};

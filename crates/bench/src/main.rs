@@ -9,9 +9,11 @@
 //! coyote-bench all --threads 4  # pin the worker budget for this run
 //! coyote-bench scaling          # sweep 1/2/4/8 threads, record speedups
 //! coyote-bench scaling --gate   # ... and fail if 8 threads lose to 1
-//! coyote-bench all --record d/  # also write replay recordings (.cyt) to d/
 //! coyote-bench --list
 //! ```
+//!
+//! Any other `--` option is a usage error (exit 2), like an unknown
+//! experiment id.
 //!
 //! Results print as paper-vs-measured tables and are written as JSON under
 //! `results/`. Experiments are independent (each owns its own simulation),
@@ -53,14 +55,12 @@ const IDS: &[&str] = &[
     "ablation_virt",
     "ablation_mt",
     "claims",
-    "scaling_des",
     "reconfig_storm",
     "net_goodput",
     "net_fanin",
     "net_retransmit",
     "net_chaos",
     "net_micro",
-    "replay_overhead",
 ];
 
 /// Group aliases: one name selecting several experiments.
@@ -83,12 +83,17 @@ const GROUPS: &[(&str, &[&str])] = &[(
 const DEPENDENT: &[&str] = &["claims"];
 
 /// Experiments whose *measurand* is host wall-clock (`net_micro` times the
-/// serialize/retransmit hot loop in real nanoseconds; `replay_overhead`
-/// times the storm with and without the recorder). Their values are
+/// serialize/retransmit hot loop in real nanoseconds). Their values are
 /// legitimately different on every run, so the `scaling` sweep's
 /// bit-identity fingerprint skips them — everything else must match
 /// exactly across thread counts.
-const NONDET: &[&str] = &["net_micro", "replay_overhead"];
+const NONDET: &[&str] = &["net_micro"];
+
+/// Options that take no value.
+const SWITCHES: &[&str] = &["--list", "--timings", "--gate", "--quick"];
+
+/// Options followed by a value.
+const VALUE_FLAGS: &[&str] = &["--label", "--threads"];
 
 /// Thread counts the `scaling` sweep measures.
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -136,14 +141,12 @@ fn run_one(id: &str) -> Option<ExperimentResult> {
             coyote_bench::ablations::ablation_threads_vs_vfpgas,
         ),
         "claims" => cached("claims", coyote_bench::claims::claims),
-        "scaling_des" => cached("scaling_des", coyote_bench::scaling::scaling_des),
         "reconfig_storm" => cached("reconfig_storm", coyote_bench::storm::reconfig_storm),
         "net_goodput" => cached("net_goodput", coyote_bench::netexp::net_goodput),
         "net_fanin" => cached("net_fanin", coyote_bench::netexp::net_fanin),
         "net_retransmit" => cached("net_retransmit", coyote_bench::netexp::net_retransmit),
         "net_chaos" => cached("net_chaos", coyote_bench::netexp::net_chaos),
         "net_micro" => cached("net_micro", coyote_bench::netexp::net_micro),
-        "replay_overhead" => cached("replay_overhead", coyote_bench::scaling::replay_overhead),
         _ => return None,
     })
 }
@@ -411,6 +414,23 @@ fn run_scaling(selection: &[&str], label: &str, gate: bool) -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Split positional ids from options; an option this CLI does not know
+    // is a usage error, never silently ignored.
+    let mut skip_next = false;
+    let mut named: Vec<&str> = Vec::new();
+    for a in &args {
+        if std::mem::take(&mut skip_next) {
+            continue;
+        }
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            skip_next = true;
+        } else if !a.starts_with("--") {
+            named.push(a);
+        } else if !SWITCHES.contains(&a.as_str()) {
+            eprintln!("unknown option '{a}'");
+            std::process::exit(2);
+        }
+    }
     if args.iter().any(|a| a == "--list") {
         for id in IDS {
             println!("{id}");
@@ -430,11 +450,6 @@ fn main() {
             .cloned()
     };
     let label = flag_value("--label");
-    if let Some(dir) = flag_value("--record") {
-        // Experiments with a capture hook (scaling_des, net_chaos) write
-        // replay recordings (`.cyt`) into this directory.
-        coyote_bench::recording::set_dir(&dir);
-    }
     if let Some(threads) = flag_value("--threads") {
         match threads.trim().parse::<usize>() {
             Ok(n) if n >= 1 => std::env::set_var(coyote_sim::par::THREADS_ENV, n.to_string()),
@@ -444,22 +459,6 @@ fn main() {
             }
         }
     }
-    let mut skip_next = false;
-    let named: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--label" || *a == "--threads" || *a == "--record" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(String::as_str)
-        .collect();
     let sweep = named.contains(&"scaling");
     // Expand group aliases ("net" -> every net_* experiment).
     let named: Vec<&str> = named

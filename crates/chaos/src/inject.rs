@@ -172,11 +172,6 @@ impl Injector {
         &self.trace
     }
 
-    /// Move the trace out (e.g. to merge across subsystems).
-    pub fn take_trace(&mut self) -> FaultTrace {
-        std::mem::take(&mut self.trace)
-    }
-
     /// Derive a deterministic value from the current op without touching the
     /// fault RNG stream (e.g. which bit to flip when the rule's `param` is
     /// zero). Same op, same value — on any thread count.

@@ -68,24 +68,6 @@ impl FaultKind {
             FaultKind::TenantCrash => 9,
         }
     }
-
-    /// Inverse of [`FaultKind::tag`]: decode a recorded trace. `None` for
-    /// tags this build does not know — a recording from a newer format must
-    /// fail closed, not misattribute the fault.
-    pub fn from_tag(tag: u64) -> Option<FaultKind> {
-        Some(match tag {
-            1 => FaultKind::NetLoss,
-            2 => FaultKind::NetReorder,
-            3 => FaultKind::NetDuplicate,
-            4 => FaultKind::NetCorrupt,
-            5 => FaultKind::BitstreamFlip,
-            6 => FaultKind::IcapReject,
-            7 => FaultKind::DmaStall,
-            8 => FaultKind::PageFaultBurst,
-            9 => FaultKind::TenantCrash,
-            _ => return None,
-        })
-    }
 }
 
 /// Where an injector is consulted. Each domain draws from its own RNG
@@ -130,34 +112,6 @@ impl Domain {
             Domain::Dma => 0x0064_6D61,
             Domain::Mmu => 0x006D_6D75,
             Domain::Sched => 0x7363_6864,
-        }
-    }
-
-    /// Inverse of [`Domain::tag`]: decode a recorded trace. `None` for
-    /// unknown tags (fail closed on foreign recordings).
-    pub fn from_tag(tag: u64) -> Option<Domain> {
-        Some(match tag {
-            0x6E65_7453 => Domain::NetSwitch,
-            0x6E65_7451 => Domain::NetQp,
-            0x6963_6170 => Domain::Reconfig,
-            0x0064_6D61 => Domain::Dma,
-            0x006D_6D75 => Domain::Mmu,
-            0x7363_6864 => Domain::Sched,
-            _ => return None,
-        })
-    }
-
-    /// The DES shard domain that owns this fault domain: the shard whose
-    /// event queue a fault of this domain must be injected on, so that a
-    /// chaos rule lands in the owning shard's deterministic event order and
-    /// never races a window boundary. Both network paths live on the `net`
-    /// shard; the MMU shares the DMA shard's PCIe/host-memory substrate.
-    pub fn shard_domain(self) -> u64 {
-        match self {
-            Domain::NetSwitch | Domain::NetQp => coyote_sim::DOMAIN_NET,
-            Domain::Reconfig => coyote_sim::DOMAIN_FABRIC,
-            Domain::Dma | Domain::Mmu => coyote_sim::DOMAIN_DMA,
-            Domain::Sched => coyote_sim::DOMAIN_SCHED,
         }
     }
 }

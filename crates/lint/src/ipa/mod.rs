@@ -1,5 +1,5 @@
-//! Interprocedural determinism taint analysis (IPA001–IPA005), the second
-//! half of every `--source` scan.
+//! Interprocedural determinism taint analysis (IPA001, IPA003–IPA005), the
+//! second half of every `--source` scan.
 //!
 //! The per-file SRC rules answer "is this line hazardous?"; this module
 //! answers the question they cannot: "does a hazardous value *travel* —

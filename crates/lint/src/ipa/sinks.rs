@@ -1,7 +1,7 @@
 //! The taint sinks: the calls where the workspace commits a value to the
 //! determinism contract — FNV trace fingerprints, the canonical `merged`
-//! joins, cross-shard posts, recorded `.cyt` streams and bench
-//! fingerprints. The taint *sources* are the raw SRC findings
+//! joins, byte-pinned artifacts written to disk (synth checkpoints) and
+//! bench fingerprints. The taint *sources* are the raw SRC findings
 //! ([`crate::source`]); the taint pass connects the two through the call
 //! graph; this module only says what a sink looks like.
 
@@ -12,12 +12,10 @@ use super::callgraph::CallSite;
 pub enum SinkClass {
     /// FNV trace hash / fingerprint computation.
     TraceHash,
-    /// Canonical trace merge (`FaultTrace::merged` / `ShardTrace::merged`).
+    /// Canonical trace merge (`FaultTrace::merged`).
     TraceMerge,
-    /// Cross-shard event post (`post_after` / `.post(..)`).
-    ShardPost,
-    /// Recorded `.cyt` stream (`Recording::record` / `.write_to(..)`).
-    Recording,
+    /// A byte-pinned artifact written to disk (`Checkpoint::write_to`).
+    WrittenArtifact,
 }
 
 impl SinkClass {
@@ -26,8 +24,7 @@ impl SinkClass {
         match self {
             SinkClass::TraceHash => "trace fingerprint",
             SinkClass::TraceMerge => "canonical trace merge",
-            SinkClass::ShardPost => "cross-shard post",
-            SinkClass::Recording => "recorded stream",
+            SinkClass::WrittenArtifact => "written artifact",
         }
     }
 }
@@ -48,22 +45,16 @@ pub fn sink_class(cs: &CallSite) -> Option<SinkClass> {
     if HASH_SINKS.contains(&name) {
         return Some(SinkClass::TraceHash);
     }
-    // `.hash()` with no arguments is a trace fingerprint (`FaultTrace::hash`,
-    // `ShardTrace::hash`); `x.hash(&mut hasher)` is std::hash and not one.
+    // `.hash()` with no arguments is a trace fingerprint (`FaultTrace::hash`);
+    // `x.hash(&mut hasher)` is std::hash and not one.
     if name == "hash" && cs.is_method && cs.args.0 >= cs.args.1 {
         return Some(SinkClass::TraceHash);
     }
     if name == "merged" {
         return Some(SinkClass::TraceMerge);
     }
-    if name == "post_after" || (name == "post" && cs.is_method) {
-        return Some(SinkClass::ShardPost);
-    }
-    if name == "write_to"
-        || (name == "record" && cs.qualifier.as_deref() == Some("Recording"))
-        || (name == "from_run" && cs.qualifier.as_deref() == Some("Recording"))
-    {
-        return Some(SinkClass::Recording);
+    if name == "write_to" {
+        return Some(SinkClass::WrittenArtifact);
     }
     None
 }
@@ -78,7 +69,7 @@ mod tests {
         use super::super::callgraph::call_sites;
         let toks = lex(
             "fn f() { let a = fingerprint_of(e, w, t, h); FaultTrace::merged(ts); \
-             t.hash(); x.hash(&mut hasher); ctx.post_after(d, tag, ev); r.write_to(p); }",
+             t.hash(); x.hash(&mut hasher); qp.post(1, verb); c.write_to(p); }",
         )
         .tokens;
         let n = toks.len();
@@ -92,8 +83,8 @@ mod tests {
                 Some(SinkClass::TraceMerge),
                 Some(SinkClass::TraceHash),
                 None, // std::hash with a hasher argument
-                Some(SinkClass::ShardPost),
-                Some(SinkClass::Recording),
+                None, // a queue-pair post is not a determinism boundary
+                Some(SinkClass::WrittenArtifact),
             ]
         );
     }

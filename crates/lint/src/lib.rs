@@ -2,7 +2,7 @@
 //! `coyote-lint`: the design-rule checker and shell verifier.
 //!
 //! Every other crate in the workspace *executes* the model — synthesizes
-//! netlists, loads bitstreams, runs the DES. This crate *judges* the
+//! netlists, loads bitstreams, drains the platform. This crate *judges* the
 //! artifacts those flows produce, before anything runs:
 //!
 //! * [`lint_netlist`] — undriven/multiply-driven nets, dangling cells,
@@ -14,9 +14,8 @@
 //! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] / [`lint_fault_plan`] —
 //!   configurations that would starve or fail to schedule, and fault plans
 //!   no retry budget covers (CF002–CF008).
-//! * [`lint_trace`] / [`lint_fault_trace`] — DES schedules whose outcome
-//!   depends on event scheduling order, and fault traces merged outside the
-//!   canonical order (DS001–DS004).
+//! * [`lint_fault_trace`] — fault traces merged outside the canonical
+//!   order (DS004).
 //! * [`lint_source`] / [`lint_source_tree`] — the `coyote-detlint`
 //!   determinism analyzer, one scan and one verdict over the workspace's
 //!   own Rust code: per-line hazards — hash-order iteration, wall-clock and
@@ -24,7 +23,7 @@
 //!   threads, environment reads (SRC001–SRC007) — and the interprocedural
 //!   taint those findings seed: workspace call graph, source→sink
 //!   propagation with full call chains, suppression-drift audit
-//!   (IPA001–IPA005).
+//!   (IPA001, IPA003–IPA005).
 //! * [`platform`] — the whole-platform analyzer: joins a shell spec's
 //!   layers into one typed resource graph ([`PlatformGraph`]) and runs the
 //!   cross-layer families on it — graph construction (PG001–PG002),
@@ -53,7 +52,7 @@ pub mod source;
 
 pub use bitstream::{lint_bitstream, DeployContext};
 pub use config::{lint_fault_plan, lint_mmu, lint_qp, lint_shell, QpSpec};
-pub use des::{lint_fault_trace, lint_replay_divergence, lint_trace};
+pub use des::lint_fault_trace;
 pub use diag::{Diagnostic, LintConfig, Location, Report, Severity};
 pub use floorplan::{lint_floorplan, PartitionDemand};
 pub use netlist::lint_netlist;

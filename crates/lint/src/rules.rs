@@ -18,7 +18,7 @@ pub enum Layer {
     Bitstream,
     /// Shell / QP / MMU configuration (`coyote`, `coyote-net`, `coyote-mmu`).
     Config,
-    /// Discrete-event scheduler traces (`coyote-sim`).
+    /// Merged fault-injection traces (`coyote-chaos`).
     Des,
     /// The workspace's own Rust source (the `coyote-detlint` analyzer).
     Source,
@@ -77,7 +77,8 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "NL003",
         layer: Layer::Netlist,
         severity: Severity::Warning,
-        description: "dangling cell: a non-I/O cell connected to no net (dead logic after synthesis)",
+        description:
+            "dangling cell: a non-I/O cell connected to no net (dead logic after synthesis)",
     },
     RuleInfo {
         id: "NL004",
@@ -144,7 +145,8 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "FP007",
         layer: Layer::Floorplan,
         severity: Severity::Warning,
-        description: "vFPGA region straddles a clock-region boundary without spanning whole regions",
+        description:
+            "vFPGA region straddles a clock-region boundary without spanning whole regions",
     },
     // --- Bitstream ---------------------------------------------------
     RuleInfo {
@@ -200,7 +202,8 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "CF004",
         layer: Layer::Config,
         severity: Severity::Error,
-        description: "TLB geometry broken: non-power-of-two sets, zero ways, or sTLB page >= lTLB page",
+        description:
+            "TLB geometry broken: non-power-of-two sets, zero ways, or sTLB page >= lTLB page",
     },
     RuleInfo {
         id: "CF005",
@@ -228,28 +231,7 @@ pub const CATALOG: &[RuleInfo] = &[
             "fault plan outruns the retry budget: injected loss rate leaves the recovery path \
              an unrecoverable residual failure probability",
     },
-    // --- DES ---------------------------------------------------------
-    RuleInfo {
-        id: "DS001",
-        layer: Layer::Des,
-        severity: Severity::Error,
-        description:
-            "ordering hazard: same-timestamp events on one target without distinct tie-break priorities",
-    },
-    RuleInfo {
-        id: "DS002",
-        layer: Layer::Des,
-        severity: Severity::Info,
-        description: "same-timestamp events with undeclared targets (disjointness unprovable)",
-    },
-    RuleInfo {
-        id: "DS003",
-        layer: Layer::Des,
-        severity: Severity::Error,
-        description:
-            "same-timestamp events sharing a subsystem domain across targets without a total \
-             priority order",
-    },
+    // --- Fault traces ------------------------------------------------
     RuleInfo {
         id: "DS004",
         layer: Layer::Des,
@@ -258,22 +240,12 @@ pub const CATALOG: &[RuleInfo] = &[
             "fault trace out of canonical (domain, op) order: merged by concatenation, not \
              FaultTrace::merged, so the published hash depends on collection order",
     },
-    RuleInfo {
-        id: "DS007",
-        layer: Layer::Des,
-        severity: Severity::Error,
-        description:
-            "replay divergence: two runs of one recorded workload disagree on an event — a \
-             happens-before violation upstream of the first divergent EventKey (tie-break, \
-             lookahead or source-level nondeterminism)",
-    },
     // --- Source (coyote-detlint) -------------------------------------
     RuleInfo {
         id: "SRC001",
         layer: Layer::Source,
         severity: Severity::Error,
-        description:
-            "iteration over an unordered HashMap/HashSet: visit order varies per process \
+        description: "iteration over an unordered HashMap/HashSet: visit order varies per process \
              (SipHash keys are random), so any artifact it feeds is nondeterministic",
     },
     RuleInfo {
@@ -296,8 +268,7 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "SRC004",
         layer: Layer::Source,
         severity: Severity::Warning,
-        description:
-            "floating-point math (a float literal or an f32/f64 cast) inside a par_map \
+        description: "floating-point math (a float literal or an f32/f64 cast) inside a par_map \
              worker: float reduction is not associative, so any cross-slot merge becomes \
              schedule-dependent",
     },
@@ -346,8 +317,7 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "WF001",
         layer: Layer::Platform,
         severity: Severity::Error,
-        description:
-            "hold-and-wait cycle in the global wait-for graph: a chain of resources and \
+        description: "hold-and-wait cycle in the global wait-for graph: a chain of resources and \
              actors waits back on itself (e.g. ACK starvation, an undersized reconfiguration \
              completion ring)",
     },
@@ -361,8 +331,7 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "WF003",
         layer: Layer::Platform,
         severity: Severity::Error,
-        description:
-            "orphaned wait: a party waits on a producer this shell never instantiates",
+        description: "orphaned wait: a party waits on a producer this shell never instantiates",
     },
     RuleInfo {
         id: "WF004",
@@ -376,40 +345,35 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "CAP001",
         layer: Layer::Platform,
         severity: Severity::Warning,
-        description:
-            "declared tenant rate exceeds the min-cut of its path (host link, memory \
+        description: "declared tenant rate exceeds the min-cut of its path (host link, memory \
              channels, RoCE link at the tenant's share)",
     },
     RuleInfo {
         id: "CAP002",
         layer: Layer::Platform,
         severity: Severity::Warning,
-        description:
-            "aggregate reconfiguration demand exceeds the ICAP beat rate: batches queue \
+        description: "aggregate reconfiguration demand exceeds the ICAP beat rate: batches queue \
              without bound",
     },
     RuleInfo {
         id: "CAP003",
         layer: Layer::Platform,
         severity: Severity::Warning,
-        description:
-            "RDMA window below the declared rate's bandwidth-delay product: the flow \
+        description: "RDMA window below the declared rate's bandwidth-delay product: the flow \
              stalls-and-bursts under its promise",
     },
     RuleInfo {
         id: "ISO001",
         layer: Layer::Platform,
         severity: Severity::Error,
-        description:
-            "tenant data flow reaches another tenant's resource (reachability over the \
+        description: "tenant data flow reaches another tenant's resource (reachability over the \
              feeds subgraph, path printed)",
     },
     RuleInfo {
         id: "ISO002",
         layer: Layer::Platform,
         severity: Severity::Error,
-        description:
-            "two tenants use a shell service the platform never declared shared \
+        description: "two tenants use a shell service the platform never declared shared \
              (undeclared contention / covert channel)",
     },
     // --- Interprocedural taint (--source) -----------------------------
@@ -419,16 +383,8 @@ pub const CATALOG: &[RuleInfo] = &[
         severity: Severity::Error,
         description:
             "a nondeterministic value (hash order, wall clock, entropy, ...) returned by one \
-             function reaches a determinism sink (trace fingerprint, merge, recording) in \
-             another — the full call chain is printed",
-    },
-    RuleInfo {
-        id: "IPA002",
-        layer: Layer::Interproc,
-        severity: Severity::Error,
-        description:
-            "tainted value crosses a shard boundary through a cross-shard post: every worker \
-             count now observes a different event stream",
+             function reaches a determinism sink (trace fingerprint, merge, written artifact) \
+             in another — the full call chain is printed",
     },
     RuleInfo {
         id: "IPA003",

@@ -1,9 +1,8 @@
 //! `coyote-detlint`: the source-level determinism analyzer (SRC001–SRC007
-//! per line, IPA001–IPA005 across calls).
+//! per line, IPA001 and IPA003–IPA005 across calls).
 //!
-//! The DES rules (`DS00x`) audit *recorded traces* — they catch a
-//! nondeterministic schedule after it ran. This module family audits the
-//! *code*: it lexes the workspace's own Rust sources and flags the
+//! DS004 audits a *recorded fault trace* after it ran. This module family
+//! audits the *code*: it lexes the workspace's own Rust sources and flags the
 //! constructs that make results depend on anything other than
 //! `(inputs, seed)` — hash-order iteration, wall-clock reads, ambient
 //! entropy, cross-slot float reductions, relaxed atomics, ad-hoc threads

@@ -3,18 +3,19 @@
 //!
 //! Config rules are exercised through the JSON fixtures in `fixtures/`
 //! (the same files a deployment would feed the CLI); netlist, floorplan,
-//! bitstream and DES rules use programmatic fixtures because their inputs
+//! bitstream and fault-trace rules use programmatic fixtures because their inputs
 //! are in-memory artifacts.
 
+use coyote_chaos::{Domain, FaultKind, FaultTrace, TraceKind};
 use coyote_fabric::{
     Bitstream, BitstreamKind, Device, DeviceKind, Floorplan, Partition, PartitionId, Rect,
     ResourceVec, ShellProfile, FRAME_RECORD_BYTES, HEADER_BYTES,
 };
 use coyote_lint::{
     lint_bitstream, lint_fault_trace, lint_floorplan, lint_netlist, lint_shell_spec, lint_source,
-    lint_trace, DeployContext, PartitionDemand, Report, Severity, ShellSpec,
+    DeployContext, PartitionDemand, Report, Severity, ShellSpec,
 };
-use coyote_sim::{EventTag, ShardTrace, ShardTraceEntry};
+use coyote_sim::SimTime;
 use coyote_synth::{CellKind, Net, Netlist};
 use std::collections::BTreeSet;
 
@@ -507,85 +508,20 @@ fn bs006_device_mismatch() {
     );
 }
 
-// -------------------------------------------------------------------- des
+// ------------------------------------------------------------ fault trace
 
-/// One executed event, as a live run or a decoded `.cyt` recording holds
-/// it: scheduled at t=0 by shard 0.
-fn event(origin_seq: u64, at_ps: u64, tag: EventTag) -> ShardTraceEntry {
-    ShardTraceEntry {
-        shard: 0,
-        at_ps,
-        domain: tag.domain,
-        target: tag.target,
-        priority: tag.priority,
-        src_domain: tag.src_domain,
-        posted_at_ps: 0,
-        origin: 0,
-        origin_seq,
-    }
-}
-
-fn des_trace(entries: Vec<ShardTraceEntry>) -> ShardTrace {
-    ShardTrace::merged(vec![entries])
-}
-
-#[test]
-fn ds001_ordering_hazard() {
-    let trace = des_trace(vec![
-        event(0, 500, EventTag::target(9)),
-        event(1, 500, EventTag::target(9)),
-    ]);
-    assert_fires(&lint_trace("qp", &trace), "DS001", "trace:qp", "t=500ps");
-}
-
-#[test]
-fn ds002_undeclared_targets() {
-    let trace = des_trace(vec![
-        event(0, 500, EventTag::default()),
-        event(1, 500, EventTag::default()),
-    ]);
-    let r = lint_trace("qp", &trace);
-    assert_fires(&r, "DS002", "trace:qp", "t=500ps");
-    assert_eq!(r.max_severity(), Some(Severity::Info));
-}
-
-#[test]
-fn clean_trace_produces_zero_diagnostics() {
-    let trace = des_trace(vec![
-        event(0, 500, EventTag::target(9).priority(0)),
-        event(1, 500, EventTag::target(9).priority(1)),
-        event(2, 500, EventTag::target(10)),
-    ]);
-    let r = lint_trace("qp", &trace);
-    assert!(r.is_clean(), "{}", r.render_human());
-}
-
-#[test]
-fn ds003_shared_domain_without_total_order() {
-    let trace = des_trace(vec![
-        event(0, 750, EventTag::target(1).domain(40)),
-        event(1, 750, EventTag::target(2).domain(40)),
-    ]);
-    let r = lint_trace("switch", &trace);
-    assert_fires(&r, "DS003", "trace:switch", "t=750ps");
-    assert!(r.has_errors());
+/// A one-event fault trace of `domain`.
+fn fault_trace(domain: Domain, kind: FaultKind) -> FaultTrace {
+    let mut t = FaultTrace::new();
+    t.push(domain, 0, SimTime::ZERO, TraceKind::Injected, kind, 0);
+    t
 }
 
 #[test]
 fn ds004_concatenated_fault_trace() {
-    use coyote_chaos::{Domain, FaultKind, FaultTrace, TraceKind};
-    use coyote_sim::SimTime;
     // NetSwitch's tag sorts after Dma's: recording net before dma leaves
     // canonical (domain, op) order at the boundary event.
-    let mut t = FaultTrace::new();
-    t.push(
-        Domain::NetSwitch,
-        0,
-        SimTime::ZERO,
-        TraceKind::Injected,
-        FaultKind::NetLoss,
-        0,
-    );
+    let mut t = fault_trace(Domain::NetSwitch, FaultKind::NetLoss);
     t.push(
         Domain::Dma,
         0,
@@ -597,57 +533,15 @@ fn ds004_concatenated_fault_trace() {
     let r = lint_fault_trace("chaos", &t);
     assert_fires(&r, "DS004", "trace:chaos", "event[1]");
     assert!(r.has_errors());
-
-    // The canonical merge of the same per-domain traces is clean.
-    let mut net = FaultTrace::new();
-    net.push(
-        Domain::NetSwitch,
-        0,
-        SimTime::ZERO,
-        TraceKind::Injected,
-        FaultKind::NetLoss,
-        0,
-    );
-    let mut dma = FaultTrace::new();
-    dma.push(
-        Domain::Dma,
-        0,
-        SimTime::ZERO,
-        TraceKind::Injected,
-        FaultKind::DmaStall,
-        0,
-    );
-    assert!(lint_fault_trace("chaos", &FaultTrace::merged([net, dma])).is_clean());
 }
 
 #[test]
-fn ds007_replay_divergence() {
-    // The bisector found event[17] of the platform-storm recording differing
-    // in priority; the diagnostic must land at the canonical trace location
-    // with error severity and name the suspect rule families.
-    let r = coyote_lint::lint_replay_divergence(
-        "platform-storm",
-        17,
-        4200,
-        "expected priority=9, actual priority=8 (at=4200ps target=3)",
-        &["DS001", "DS003"],
-    );
-    assert_fires(&r, "DS007", "trace:platform-storm", "t=4200ps");
-    assert!(r.has_errors());
-    let d = r.of_rule("DS007").next().unwrap();
-    assert!(d.message.contains("event[17]"), "{}", d.message);
-    assert!(
-        d.suggestion
-            .as_deref()
-            .unwrap_or("")
-            .contains("DS001/DS003"),
-        "suggestion names the suspect families: {:?}",
-        d.suggestion
-    );
-
-    // Without suspects the suggestion falls back to re-record guidance.
-    let r = coyote_lint::lint_replay_divergence("ring-storm", 0, 0, "fault trace diverged", &[]);
-    assert_fires(&r, "DS007", "trace:ring-storm", "t=0ps");
+fn clean_trace_produces_zero_diagnostics() {
+    // The canonical merge of the same per-domain traces is clean.
+    let net = fault_trace(Domain::NetSwitch, FaultKind::NetLoss);
+    let dma = fault_trace(Domain::Dma, FaultKind::DmaStall);
+    let r = lint_fault_trace("chaos", &FaultTrace::merged([net, dma]));
+    assert!(r.is_clean(), "{}", r.render_human());
 }
 
 // ----------------------------------------------------- source (detlint)
@@ -730,7 +624,6 @@ fn ipa_rules_fire_on_seeded_fixtures_at_exact_locations() {
     // same scan reports per line.
     let cases = [
         ("ipa001_chain.rs", "IPA001", "L15", Some(("SRC001", "L6"))),
-        ("ipa002_post.rs", "IPA002", "L10", Some(("SRC007", "L5"))),
         ("ipa003_launder.rs", "IPA003", "L12", Some(("SRC001", "L6"))),
         ("ipa004_pub_iter.rs", "IPA004", "L5", Some(("SRC001", "L6"))),
         ("ipa005_stale.rs", "IPA005", "L5", None),
@@ -920,10 +813,10 @@ fn every_catalog_rule_has_golden_coverage() {
     let covered = [
         "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP001", "FP002", "FP003",
         "FP004", "FP005", "FP006", "FP007", "BS001", "BS002", "BS003", "BS004", "BS005", "BS006",
-        "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008", "DS001", "DS002", "DS003",
-        "DS004", "DS007", "SRC001", "SRC002", "SRC003", "SRC004", "SRC005", "SRC006", "SRC007",
-        "PG001", "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002", "CAP003",
-        "ISO001", "ISO002", "IPA001", "IPA002", "IPA003", "IPA004", "IPA005",
+        "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008", "DS004", "SRC001", "SRC002",
+        "SRC003", "SRC004", "SRC005", "SRC006", "SRC007", "PG001", "PG002", "WF001", "WF002",
+        "WF003", "WF004", "CAP001", "CAP002", "CAP003", "ISO001", "ISO002", "IPA001", "IPA003",
+        "IPA004", "IPA005",
     ];
     // Both ways: a catalog rule without a golden test fails, and so does a
     // covered id whose rule left the catalog.
@@ -947,7 +840,6 @@ fn every_catalog_rule_has_golden_coverage() {
     for name in [
         "ipa001_chain.rs",
         "ipa001_clean.rs",
-        "ipa002_post.rs",
         "ipa003_launder.rs",
         "ipa004_pub_iter.rs",
         "ipa005_stale.rs",

@@ -38,17 +38,24 @@ fn whole_workspace_scan_is_deterministic() {
 fn whole_workspace_scan_stays_interactive() {
     // The analyzer gates CI on every push: lexing all crates, the SRC
     // checks, the summary fixpoint and the sink scan must stay well under a
-    // second even unoptimized. Warm the page cache with one untimed scan
-    // first.
+    // second even unoptimized. Warm the page cache with one untimed scan,
+    // then gate the median of five timed scans, so one scheduler hiccup on
+    // a shared host cannot fail the budget and one lucky sample cannot
+    // pass it.
     let root = workspace_crates();
     let _ = lint_source_tree(&root).expect("scan");
-    let start = Instant::now();
-    let _ = lint_source_tree(&root).expect("scan");
-    let elapsed = start.elapsed();
+    let mut samples: Vec<u128> = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            let _ = lint_source_tree(&root).expect("scan");
+            start.elapsed().as_millis()
+        })
+        .collect();
+    samples.sort_unstable();
+    let median = samples[samples.len() / 2];
     assert!(
-        elapsed.as_millis() < 500,
-        "workspace scan took {} ms, budget is 500 ms",
-        elapsed.as_millis()
+        median < 500,
+        "workspace scan median {median} ms over {samples:?}, budget is 500 ms"
     );
 }
 

@@ -1,6 +1,6 @@
 //! FNV-1a-style 64-bit folding: the one hash behind every trace hash and run
-//! fingerprint ([`crate::ShardTrace::hash`], `FaultTrace::hash`, the replay
-//! and bench fingerprints).
+//! fingerprint (`FaultTrace::hash`, the `reconfig_storm` fingerprint and the
+//! bench's `scaling` sweep fingerprint).
 //!
 //! A hash is a left fold from [`OFFSET`]: `fold_u64(fold_u64(OFFSET, a), b)`.
 //! Multi-byte values fold as their little-endian bytes, so a fingerprint is

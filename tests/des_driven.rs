@@ -1,8 +1,8 @@
 //! Driving the platform on a simulated-time schedule: a periodic telemetry
 //! workload issued tick by tick, each tick advancing the platform clock to
-//! its instant. `Platform` holds `Box<dyn Kernel>` and is not `Send`, so it
-//! cannot be an event-engine shard world; a plain loop over the tick times
-//! is the schedule.
+//! its instant. `Platform::drain` is the one timing engine, so a plain loop
+//! over the tick times is the whole schedule: the caller decides *when* a
+//! request is issued, `drain` books it on the platform's queueing servers.
 
 use coyote::kernel::Passthrough;
 use coyote::{CThread, Oper, Platform, SgEntry, ShellConfig};
