@@ -40,19 +40,6 @@ impl RetryPolicy {
             attempt: 0,
         }
     }
-
-    /// Whether this budget drives the residual failure probability of a
-    /// per-attempt loss rate below `target`. A rate of 1.0 (or more) can
-    /// never be covered by a finite budget. Lint rule CF008 keys on this.
-    pub fn covers_loss(&self, loss_rate: f64, target: f64) -> bool {
-        if loss_rate <= 0.0 {
-            return true;
-        }
-        if loss_rate >= 1.0 {
-            return false;
-        }
-        loss_rate.powi(self.max_attempts.max(1) as i32) <= target
-    }
 }
 
 /// An in-progress backoff sequence.
@@ -135,19 +122,5 @@ mod tests {
             b.by_ref().collect()
         };
         assert_eq!(run(), run(), "no jitter, ever");
-    }
-
-    #[test]
-    fn covers_loss_boundaries() {
-        let p = RetryPolicy::reconfig_default(); // 5 attempts.
-        assert!(p.covers_loss(0.0, 1e-6));
-        assert!(p.covers_loss(0.05, 1e-6), "0.05^5 = 3.1e-7");
-        assert!(!p.covers_loss(0.5, 1e-6), "0.5^5 = 3.1e-2");
-        assert!(!p.covers_loss(1.0, 1e-6), "blackhole is never covered");
-        let one = RetryPolicy {
-            max_attempts: 1,
-            ..p
-        };
-        assert!(!one.covers_loss(0.01, 1e-6), "single attempt, 1% residual");
     }
 }

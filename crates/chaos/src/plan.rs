@@ -292,19 +292,6 @@ impl FaultPlan {
     pub fn injector_multi(&self, domains: &[Domain]) -> Injector {
         Injector::from_plan(self, domains)
     }
-
-    /// The highest `Rate` trigger probability among rules of `kind` (0.0 if
-    /// none). Used by lint rule CF008 to compare loss against retry budget.
-    pub fn max_rate(&self, kind: FaultKind) -> f64 {
-        self.rules
-            .iter()
-            .filter(|r| r.kind == kind)
-            .filter_map(|r| match r.trigger {
-                Trigger::Rate(p) => Some(p),
-                _ => None,
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -321,18 +308,6 @@ mod tests {
         assert_eq!(plan.rules().len(), 3);
         assert_eq!(plan.rules()[0].kind, FaultKind::NetLoss);
         assert_eq!(plan.rules()[2].domain, Domain::Reconfig);
-    }
-
-    #[test]
-    fn max_rate_picks_the_largest_rate_trigger() {
-        let plan = FaultPlan::new(1).net_loss(0.05).net_loss(0.2).inject(
-            Domain::NetQp,
-            FaultKind::NetLoss,
-            Trigger::AtOp(5),
-            0,
-        );
-        assert_eq!(plan.max_rate(FaultKind::NetLoss), 0.2);
-        assert_eq!(plan.max_rate(FaultKind::NetCorrupt), 0.0);
     }
 
     #[test]

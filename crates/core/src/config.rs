@@ -85,6 +85,24 @@ pub enum ConfigError {
     BadCardStreamCount(u8),
     /// More memory channels than the card has.
     TooManyChannels(usize),
+    /// A TLB the MMU cannot build: `sets` is not a non-zero power of two
+    /// (the set index is a bit-slice of the VPN) or `ways` is zero.
+    BadTlbGeometry {
+        /// `"stlb"` or `"ltlb"`.
+        tlb: &'static str,
+        /// Set count.
+        sets: usize,
+        /// Associativity.
+        ways: usize,
+    },
+    /// The small-page TLB's page is not smaller than the huge-page TLB's,
+    /// so every lookup would classify its page size wrong.
+    InvertedTlbPages {
+        /// sTLB page bytes.
+        stlb: u64,
+        /// lTLB page bytes.
+        ltlb: u64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -99,6 +117,15 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "{n} card streams (0-16 supported)")
             }
             ConfigError::TooManyChannels(n) => write!(f, "{n} memory channels not available"),
+            ConfigError::BadTlbGeometry { tlb, sets, ways } => write!(
+                f,
+                "{tlb} geometry {sets}x{ways} invalid: sets must be a non-zero power of two \
+                 and ways non-zero"
+            ),
+            ConfigError::InvertedTlbPages { stlb, ltlb } => write!(
+                f,
+                "sTLB page ({stlb} B) must be smaller than lTLB page ({ltlb} B)"
+            ),
         }
     }
 }
@@ -237,6 +264,19 @@ impl ShellConfig {
         if self.services.memory_channels > max_ch {
             return Err(ConfigError::TooManyChannels(self.services.memory_channels));
         }
+        for (tlb, cfg) in [("stlb", &self.mmu.stlb), ("ltlb", &self.mmu.ltlb)] {
+            if !cfg.sets.is_power_of_two() || cfg.ways == 0 {
+                return Err(ConfigError::BadTlbGeometry {
+                    tlb,
+                    sets: cfg.sets,
+                    ways: cfg.ways,
+                });
+            }
+        }
+        let (stlb, ltlb) = (self.mmu.stlb.page.bytes(), self.mmu.ltlb.page.bytes());
+        if stlb >= ltlb {
+            return Err(ConfigError::InvertedTlbPages { stlb, ltlb });
+        }
         Ok(())
     }
 
@@ -341,6 +381,35 @@ mod tests {
         let mut cfg = ShellConfig::host_memory(1, 64);
         cfg.services.memory_channels = 64;
         assert_eq!(cfg.validate(), Err(ConfigError::TooManyChannels(64)));
+        let mut cfg = ShellConfig::host_only(1);
+        cfg.mmu.stlb.sets = 100;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::BadTlbGeometry {
+                tlb: "stlb",
+                sets: 100,
+                ways: 4
+            })
+        );
+        let mut cfg = ShellConfig::host_only(1);
+        cfg.mmu.ltlb.ways = 0;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::BadTlbGeometry {
+                tlb: "ltlb",
+                sets: 32,
+                ways: 0
+            })
+        );
+        let mut cfg = ShellConfig::host_only(1);
+        cfg.mmu.stlb.page = coyote_mem::PageSize::Huge1G;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::InvertedTlbPages {
+                stlb: 1 << 30,
+                ltlb: 2 << 20
+            })
+        );
     }
 
     #[test]

@@ -359,6 +359,20 @@ mod tests {
     }
 
     #[test]
+    fn load_refuses_broken_tlb_geometry() {
+        use coyote_mem::PageSize;
+        let mut odd_sets = ShellConfig::host_only(1);
+        odd_sets.mmu.stlb.sets = 100;
+        let mut no_ways = ShellConfig::host_only(1);
+        no_ways.mmu.ltlb.ways = 0;
+        let mut inverted = ShellConfig::host_only(1);
+        inverted.mmu.stlb.page = PageSize::Huge1G;
+        for cfg in [odd_sets, no_ways, inverted] {
+            assert!(matches!(Platform::load(cfg), Err(PlatformError::Config(_))));
+        }
+    }
+
+    #[test]
     fn memory_shell_gets_requested_channels() {
         let p = Platform::load(ShellConfig::host_memory(1, 8)).unwrap();
         assert_eq!(p.driver().card().unwrap().channel_count(), 8);

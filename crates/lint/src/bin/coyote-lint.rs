@@ -5,9 +5,9 @@
 //! coyote-lint [OPTIONS] <PATH>...
 //!
 //! PATHs ending in .json are shell specifications, each given one pass
-//! over every spec rule family (config, floorplan, netlist and the
-//! PG/WF/CAP/ISO platform families); a directory is scanned for its .json
-//! specs in sorted order. PATHs ending in .bin are bitstreams.
+//! over every spec rule family (config, floorplan and the PG/WF/CAP/ISO
+//! platform families); a directory is scanned for its .json specs in
+//! sorted order. PATHs ending in .bin are bitstreams.
 //!
 //! With --source, PATHs are .rs files or directories scanned recursively
 //! by the coyote-detlint determinism analyzer. Each PATH is one workspace,
@@ -146,7 +146,7 @@ fn lint_path(path: &str) -> Result<Report, String> {
     } else if path.ends_with(".bin") {
         let bytes = std::fs::read(p).map_err(|e| e.to_string())?;
         let name = path.rsplit('/').next().unwrap_or(path);
-        Ok(lint_bitstream(name, &bytes, None))
+        Ok(lint_bitstream(name, &bytes))
     } else {
         Err(
             "unsupported path (expected a .json shell spec, a directory of them, or a .bin \

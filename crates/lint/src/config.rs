@@ -1,4 +1,4 @@
-//! Configuration lints (CF002–CF008): shell, QP and MMU parameter checks.
+//! Configuration lints (CF002–CF007): shell, QP and MMU parameter checks.
 //!
 //! These rules catch configurations that *parse* fine and even *boot* fine
 //! but then starve or fail to schedule at run time. Deadlocks that span
@@ -7,9 +7,8 @@
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
 use coyote::config::ShellConfig;
-use coyote_chaos::{FaultKind, FaultPlan, RetryPolicy};
 use coyote_fabric::{Device, Floorplan};
-use coyote_mmu::{MmuConfig, TlbConfig};
+use coyote_mmu::MmuConfig;
 use coyote_sim::params::ROCE_MTU;
 
 /// Queue-pair packet geometry as a deployment declares it. The message-size
@@ -66,109 +65,11 @@ pub fn lint_qp(unit: &str, qp: &QpSpec) -> Report {
     report
 }
 
-/// Residual per-message failure probability a retry budget must reach for a
-/// fault plan to count as covered (CF008).
-const CF008_RESIDUAL_TARGET: f64 = 1e-6;
-
-/// Lint a chaos fault plan against the retry budget that will face it
-/// (CF008).
-///
-/// A chaos run is only meaningful if recovery is *possible*: a plan whose
-/// frame-loss probability is 1.0 is a permanent blackhole no finite retry
-/// budget covers, and a plan whose per-attempt loss leaves more than
-/// [`CF008_RESIDUAL_TARGET`] residual failure probability after the policy's
-/// attempts will flake rather than exercise recovery. Corrupted frames are
-/// dropped at NIC RX, so `NetCorrupt` counts toward the effective loss.
-pub fn lint_fault_plan(unit: &str, plan: &FaultPlan, policy: &RetryPolicy) -> Report {
-    let mut report = Report::new();
-    let loc = |path: &str| Location::new(format!("config:{unit}"), path);
-
-    let loss = plan.max_rate(FaultKind::NetLoss);
-    let corrupt = plan.max_rate(FaultKind::NetCorrupt);
-    // Either fault costs the frame, so the per-attempt drop probability is
-    // the union of the two.
-    let effective = 1.0 - (1.0 - loss) * (1.0 - corrupt);
-    if effective <= 0.0 {
-        return report;
-    }
-
-    if effective >= 1.0 {
-        report.push(
-            Diagnostic::new(
-                "CF008",
-                Severity::Error,
-                loc("plan.net_loss"),
-                format!(
-                    "permanent blackhole: effective frame-loss rate is {effective:.2} — \
-                     every attempt fails and no retry budget ({} attempts) can recover",
-                    policy.max_attempts
-                ),
-            )
-            .with_suggestion("drop the rate below 1.0, or lift the blackhole mid-run"),
-        );
-        return report;
-    }
-
-    if !policy.covers_loss(effective, CF008_RESIDUAL_TARGET) {
-        report.push(
-            Diagnostic::new(
-                "CF008",
-                Severity::Error,
-                loc("plan.net_loss"),
-                format!(
-                    "retry budget cannot cover the loss rate: {effective:.3} loss over \
-                     {} attempts leaves {:.2e} residual failure probability \
-                     (target {CF008_RESIDUAL_TARGET:.0e})",
-                    policy.max_attempts,
-                    effective.powi(policy.max_attempts.max(1) as i32)
-                ),
-            )
-            .with_suggestion("raise max_attempts or lower the injected loss rate"),
-        );
-    }
-
-    report
-}
-
-/// Lint MMU/TLB geometry (CF004, CF007).
+/// Lint the MMU's TLB SRAM budget (CF007). Broken TLB geometry is
+/// `ShellConfig::validate`'s to refuse (CF005).
 pub fn lint_mmu(unit: &str, mmu: &MmuConfig) -> Report {
     let mut report = Report::new();
     let loc = |path: &str| Location::new(format!("config:{unit}"), path);
-
-    let check_tlb = |name: &str, tlb: &TlbConfig, report: &mut Report| {
-        if !tlb.sets.is_power_of_two() || tlb.sets == 0 || tlb.ways == 0 {
-            report.push(
-                Diagnostic::new(
-                    "CF004",
-                    Severity::Error,
-                    loc(&format!("mmu.{name}")),
-                    format!(
-                        "{name} geometry {}x{} invalid: sets must be a non-zero power of two \
-                         (the set index is a bit-slice of the VPN) and ways non-zero",
-                        tlb.sets, tlb.ways
-                    ),
-                )
-                .with_suggestion("the TLB constructor panics on this geometry"),
-            );
-        }
-    };
-    check_tlb("stlb", &mmu.stlb, &mut report);
-    check_tlb("ltlb", &mmu.ltlb, &mut report);
-
-    // CF004 (continued): the small-page TLB must translate smaller pages
-    // than the huge-page TLB, or every lookup classifies wrong.
-    if mmu.stlb.page.bytes() >= mmu.ltlb.page.bytes() {
-        report.push(Diagnostic::new(
-            "CF004",
-            Severity::Error,
-            loc("mmu"),
-            format!(
-                "sTLB page ({} B) must be smaller than lTLB page ({} B)",
-                mmu.stlb.page.bytes(),
-                mmu.ltlb.page.bytes()
-            ),
-        ));
-    }
 
     // CF007: SRAM budget. The synthesis resource model charges BRAM for the
     // TLB SRAM; past ~16 Mbit the MMU alone starves the service band.
@@ -198,8 +99,9 @@ pub fn lint_shell(unit: &str, cfg: &ShellConfig) -> Report {
     let loc = |path: &str| Location::new(format!("config:{unit}"), path);
 
     // CF005: everything ShellConfig::validate refuses — vFPGA count,
-    // stream counts, channel counts, sniffer-without-network. The shell
-    // could never be scheduled onto a device in this state.
+    // stream counts, channel counts, sniffer-without-network, TLB
+    // geometry. The shell could never be scheduled onto a device in this
+    // state.
     if let Err(e) = cfg.validate() {
         report.push(
             Diagnostic::new(
@@ -245,38 +147,10 @@ pub fn lint_shell(unit: &str, cfg: &ShellConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coyote_mem::PageSize;
 
     #[test]
     fn default_qp_spec_is_clean() {
         assert!(lint_qp("t", &QpSpec::default()).is_clean());
-    }
-
-    #[test]
-    fn fault_plan_budget_coverage() {
-        let policy = RetryPolicy::reconfig_default(); // 5 attempts.
-
-        // Covered: 1% loss over 5 attempts leaves 1e-10 residual.
-        let ok = FaultPlan::new(1).net_loss(0.01);
-        assert!(lint_fault_plan("t", &ok, &policy).is_clean());
-
-        // No loss at all: trivially clean.
-        assert!(lint_fault_plan("t", &FaultPlan::new(1), &policy).is_clean());
-
-        // Uncoverable: 50% loss leaves ~3% residual after 5 attempts.
-        let bad = FaultPlan::new(1).net_loss(0.5);
-        let r = lint_fault_plan("t", &bad, &policy);
-        assert_eq!(r.of_rule("CF008").count(), 1, "{}", r.render_human());
-        assert!(r.has_errors());
-
-        // Blackhole: rate 1.0 can never be covered.
-        let hole = FaultPlan::new(1).net_loss(1.0);
-        assert!(lint_fault_plan("t", &hole, &policy).has_errors());
-
-        // Corruption counts toward effective loss: 0.3 loss + 0.4 corrupt
-        // is an effective 0.58 drop rate — uncoverable in 5 attempts.
-        let mixed = FaultPlan::new(1).net_loss(0.3).net_corrupt(0.4);
-        assert!(lint_fault_plan("t", &mixed, &policy).has_errors());
     }
 
     #[test]
@@ -294,14 +168,6 @@ mod tests {
     fn tlb_geometry_rules() {
         assert!(lint_mmu("t", &MmuConfig::default_2m()).is_clean());
         assert!(lint_mmu("t", &MmuConfig::huge_1g()).is_clean());
-
-        let mut bad = MmuConfig::default_2m();
-        bad.stlb.sets = 100; // not a power of two
-        assert_eq!(lint_mmu("t", &bad).of_rule("CF004").count(), 1);
-
-        let mut inverted = MmuConfig::default_2m();
-        inverted.stlb.page = PageSize::Huge1G;
-        assert_eq!(lint_mmu("t", &inverted).of_rule("CF004").count(), 1);
 
         let mut huge = MmuConfig::default_2m();
         huge.stlb.sets = 1 << 16;

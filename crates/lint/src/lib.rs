@@ -3,19 +3,15 @@
 //!
 //! Every other crate in the workspace *executes* the model — synthesizes
 //! netlists, loads bitstreams, drains the platform. This crate *judges* the
-//! artifacts those flows produce, before anything runs:
+//! inputs that reach those flows from outside the program, before anything
+//! runs:
 //!
-//! * [`lint_netlist`] — undriven/multiply-driven nets, dangling cells,
-//!   combinational loops, width mismatches, unreachable logic (NL001–NL007).
 //! * [`lint_floorplan`] — partition geometry, resource budgets and
 //!   clock-region discipline (FP001–FP007).
 //! * [`lint_bitstream`] — offline blob verification without the ICAP load
-//!   path, including deployment checks (BS001–BS006).
-//! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] / [`lint_fault_plan`] —
-//!   configurations that would starve or fail to schedule, and fault plans
-//!   no retry budget covers (CF002–CF008).
-//! * [`lint_fault_trace`] — fault traces merged outside the canonical
-//!   order (DS004).
+//!   path (BS001–BS004).
+//! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] — configurations that
+//!   would starve or fail to schedule (CF002–CF007).
 //! * [`lint_source`] / [`lint_source_tree`] — the `coyote-detlint`
 //!   determinism analyzer, one scan and one verdict over the workspace's
 //!   own Rust code: per-line hazards — hash-order iteration, wall-clock and
@@ -31,7 +27,7 @@
 //!   (CAP001–CAP003) and tenant isolation (ISO001–ISO002).
 //!
 //! [`lint_shell_spec`] gives a shell spec one pass and one verdict: the
-//! config, floorplan and netlist rules plus the platform families.
+//! config and floorplan rules plus the platform families.
 //!
 //! All rules emit [`Diagnostic`]s into a [`Report`]; [`LintConfig`] applies
 //! per-rule allow/deny; the `coyote-lint` binary renders reports as text or
@@ -40,22 +36,18 @@
 
 pub mod bitstream;
 pub mod config;
-pub mod des;
 pub mod diag;
 pub mod floorplan;
 pub mod ipa;
-pub mod netlist;
 pub mod platform;
 pub mod rules;
 pub mod shellspec;
 pub mod source;
 
-pub use bitstream::{lint_bitstream, DeployContext};
-pub use config::{lint_fault_plan, lint_mmu, lint_qp, lint_shell, QpSpec};
-pub use des::lint_fault_trace;
+pub use bitstream::lint_bitstream;
+pub use config::{lint_mmu, lint_qp, lint_shell, QpSpec};
 pub use diag::{Diagnostic, LintConfig, Location, Report, Severity};
 pub use floorplan::{lint_floorplan, PartitionDemand};
-pub use netlist::lint_netlist;
 pub use platform::{build_platform_graph, PlatformGraph};
 pub use rules::{render_catalog, rule, Layer, RuleInfo, CATALOG};
 pub use shellspec::ShellSpec;
@@ -65,8 +57,7 @@ use coyote_fabric::{Device, Floorplan};
 
 /// Lint everything a shell specification implies, in one pass: the
 /// configuration itself, the QP packet geometry (if declared), the preset
-/// floorplan the shell would be built on, the post-synthesis netlists of
-/// every service block it instantiates, and the platform resource graph
+/// floorplan the shell would be built on, and the platform resource graph
 /// (PG/WF/CAP/ISO).
 pub fn lint_shell_spec(spec: &ShellSpec) -> Report {
     let mut report = Report::new();
@@ -78,14 +69,11 @@ pub fn lint_shell_spec(spec: &ShellSpec) -> Report {
             if let Some(qp) = spec.qp_spec() {
                 report.extend(lint_qp(unit, &qp));
             }
-            // Deeper artifact checks only make sense for a schedulable shell.
+            // The floorplan only exists for a schedulable vFPGA count.
             if (1..=10).contains(&cfg.n_vfpgas) {
                 let device = Device::new(cfg.device);
                 let fp = Floorplan::preset(cfg.device, cfg.profile(), cfg.n_vfpgas);
                 report.extend(lint_floorplan(&fp, &device, &[]));
-                for block in cfg.service_blocks() {
-                    report.extend(lint_netlist(&block.synthesize()));
-                }
             }
         }
         Err(e) => report.push(Diagnostic::new(

@@ -12,7 +12,7 @@
 //! * [`tenancy`] — ISO001–ISO002: tenant isolation by reachability.
 //!
 //! Entry point: [`crate::lint_shell_spec`], which runs these families in
-//! the same pass as the config, floorplan and netlist rules.
+//! the same pass as the config and floorplan rules.
 
 pub mod capacity;
 pub mod graph;

@@ -10,16 +10,12 @@ use crate::diag::Severity;
 /// Which layer of the stack a rule inspects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Layer {
-    /// Post-synthesis netlists (`coyote-synth`).
-    Netlist,
     /// Partition geometry and resource budgets (`coyote-fabric`).
     Floorplan,
     /// Assembled bitstream blobs, verified offline.
     Bitstream,
     /// Shell / QP / MMU configuration (`coyote`, `coyote-net`, `coyote-mmu`).
     Config,
-    /// Merged fault-injection traces (`coyote-chaos`).
-    Des,
     /// The workspace's own Rust source (the `coyote-detlint` analyzer).
     Source,
     /// The joined cross-layer platform resource graph of a shell spec.
@@ -33,11 +29,9 @@ impl Layer {
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
-            Layer::Netlist => "netlist",
             Layer::Floorplan => "floorplan",
             Layer::Bitstream => "bitstream",
             Layer::Config => "config",
-            Layer::Des => "des",
             Layer::Source => "source",
             Layer::Platform => "platform",
             Layer::Interproc => "interproc",
@@ -60,50 +54,6 @@ pub struct RuleInfo {
 
 /// Every rule, ordered by layer then id.
 pub const CATALOG: &[RuleInfo] = &[
-    // --- Netlist -----------------------------------------------------
-    RuleInfo {
-        id: "NL001",
-        layer: Layer::Netlist,
-        severity: Severity::Error,
-        description: "undriven net: driver cell index out of range, the net has no real driver",
-    },
-    RuleInfo {
-        id: "NL002",
-        layer: Layer::Netlist,
-        severity: Severity::Error,
-        description: "multiply-driven output: one cell drives more than one net (shorted outputs)",
-    },
-    RuleInfo {
-        id: "NL003",
-        layer: Layer::Netlist,
-        severity: Severity::Warning,
-        description:
-            "dangling cell: a non-I/O cell connected to no net (dead logic after synthesis)",
-    },
-    RuleInfo {
-        id: "NL004",
-        layer: Layer::Netlist,
-        severity: Severity::Error,
-        description: "combinational loop: a strongly connected component in the cell graph",
-    },
-    RuleInfo {
-        id: "NL005",
-        layer: Layer::Netlist,
-        severity: Severity::Error,
-        description: "port-width mismatch: nets of different bus widths feed one sink cell",
-    },
-    RuleInfo {
-        id: "NL006",
-        layer: Layer::Netlist,
-        severity: Severity::Warning,
-        description: "unreachable cell: connected logic with no path from any level-0/I/O cell",
-    },
-    RuleInfo {
-        id: "NL007",
-        layer: Layer::Netlist,
-        severity: Severity::Error,
-        description: "invalid sink reference: a net lists a sink cell index out of range",
-    },
     // --- Floorplan ---------------------------------------------------
     RuleInfo {
         id: "FP001",
@@ -173,18 +123,6 @@ pub const CATALOG: &[RuleInfo] = &[
         severity: Severity::Error,
         description: "frame-address sequence broken: records do not address frames 0..n in order",
     },
-    RuleInfo {
-        id: "BS005",
-        layer: Layer::Bitstream,
-        severity: Severity::Error,
-        description: "frames address outside the target partition of the floorplan",
-    },
-    RuleInfo {
-        id: "BS006",
-        layer: Layer::Bitstream,
-        severity: Severity::Error,
-        description: "bitstream targets a different device than the deployment card",
-    },
     // --- Config ------------------------------------------------------
     RuleInfo {
         id: "CF002",
@@ -199,17 +137,11 @@ pub const CATALOG: &[RuleInfo] = &[
         description: "retransmission window of zero packets (flow can never start)",
     },
     RuleInfo {
-        id: "CF004",
-        layer: Layer::Config,
-        severity: Severity::Error,
-        description:
-            "TLB geometry broken: non-power-of-two sets, zero ways, or sTLB page >= lTLB page",
-    },
-    RuleInfo {
         id: "CF005",
         layer: Layer::Config,
         severity: Severity::Error,
-        description: "shell can never schedule: invalid vFPGA/stream/channel/service combination",
+        description: "shell can never schedule: invalid vFPGA/stream/channel/service combination \
+             or TLB geometry (ShellConfig::validate refuses it)",
     },
     RuleInfo {
         id: "CF006",
@@ -222,23 +154,6 @@ pub const CATALOG: &[RuleInfo] = &[
         layer: Layer::Config,
         severity: Severity::Warning,
         description: "oversized TLB SRAM budget (exceeds the on-chip SRAM the MMU model assumes)",
-    },
-    RuleInfo {
-        id: "CF008",
-        layer: Layer::Config,
-        severity: Severity::Error,
-        description:
-            "fault plan outruns the retry budget: injected loss rate leaves the recovery path \
-             an unrecoverable residual failure probability",
-    },
-    // --- Fault traces ------------------------------------------------
-    RuleInfo {
-        id: "DS004",
-        layer: Layer::Des,
-        severity: Severity::Error,
-        description:
-            "fault trace out of canonical (domain, op) order: merged by concatenation, not \
-             FaultTrace::merged, so the published hash depends on collection order",
     },
     // --- Source (coyote-detlint) -------------------------------------
     RuleInfo {
@@ -460,7 +375,7 @@ mod tests {
 
     #[test]
     fn lookup_works() {
-        assert_eq!(rule("NL004").unwrap().layer, Layer::Netlist);
+        assert_eq!(rule("FP001").unwrap().layer, Layer::Floorplan);
         assert!(rule("ZZ999").is_none());
         assert!(render_catalog().contains("CF002"));
     }

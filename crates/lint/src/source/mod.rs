@@ -1,12 +1,11 @@
 //! `coyote-detlint`: the source-level determinism analyzer (SRC001–SRC007
 //! per line, IPA001 and IPA003–IPA005 across calls).
 //!
-//! DS004 audits a *recorded fault trace* after it ran. This module family
-//! audits the *code*: it lexes the workspace's own Rust sources and flags the
-//! constructs that make results depend on anything other than
-//! `(inputs, seed)` — hash-order iteration, wall-clock reads, ambient
-//! entropy, cross-slot float reductions, relaxed atomics, ad-hoc threads
-//! and environment reads. One rule per submodule, and these submodules are
+//! This module family audits the *code*: it lexes the workspace's own Rust
+//! sources and flags the constructs that make results depend on anything
+//! other than `(inputs, seed)` — hash-order iteration, wall-clock reads,
+//! ambient entropy, cross-slot float reductions, relaxed atomics, ad-hoc
+//! threads and environment reads. One rule per submodule, and these submodules are
 //! the only code that recognizes the seven shapes:
 //!
 //! | rule   | module        | hazard                                     |
@@ -20,7 +19,7 @@
 //! | SRC007 | `envdep`      | `std::env::var` reads                      |
 //!
 //! One scan gives one verdict: [`lint_source_tree`] walks and lexes each
-//! file once into an [`ipa::index::Workspace`](crate::ipa::index::Workspace),
+//! file once into an [`ipa::index::Workspace`],
 //! reports the raw SRC findings its `detlint: allow` lines do not cover,
 //! and hands the same findings to the interprocedural pass
 //! ([`crate::ipa`]) as its taint origins.

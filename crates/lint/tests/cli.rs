@@ -1,6 +1,6 @@
 //! CLI contract tests: exit codes (0 clean/warnings, 1 errors, 2 usage/IO
-//! or `--strict` gate failures), shell-spec and directory scans, and the
-//! `--json` schema round-trip.
+//! or `--strict` gate failures), shell-spec, bitstream and directory scans,
+//! and the `--json` schema round-trip.
 //!
 //! These run the real `coyote-lint` binary via `CARGO_BIN_EXE_`, so they
 //! pin exactly what CI and deployments observe.
@@ -224,6 +224,41 @@ fn strict_gate_refuses_unschedulable_specs_in_a_directory() {
     }
 }
 
+// -------------------------------------------------------------- bitstreams
+
+#[test]
+fn bin_path_verifies_an_image_and_flags_a_flipped_body_byte() {
+    use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind, HEADER_BYTES};
+    let dir = std::env::temp_dir().join(format!("coyote_lint_bin_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let image = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 8, 7);
+    let good = dir.join("shell.bin");
+    std::fs::write(&good, image.bytes()).unwrap();
+    let mut flipped = image.bytes().to_vec();
+    flipped[HEADER_BYTES + 4] ^= 0x01; // First payload byte of frame 0.
+    let bad = dir.join("flipped.bin");
+    std::fs::write(&bad, &flipped).unwrap();
+
+    let clean = run(&[&good.to_string_lossy()]);
+    let broken = run(&["--json", &bad.to_string_lossy()]);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    assert_eq!(
+        code(&clean),
+        0,
+        "{}",
+        String::from_utf8_lossy(&clean.stderr)
+    );
+    assert!(String::from_utf8_lossy(&clean.stdout).starts_with("clean"));
+    assert_eq!(code(&broken), 1);
+    let parsed: Report = serde_json::from_slice(&broken.stdout).expect("valid JSON");
+    assert_eq!(parsed.diagnostics.len(), 1, "{parsed:?}");
+    let d = &parsed.diagnostics[0];
+    assert_eq!(d.rule_id, "BS003");
+    assert_eq!(d.location.unit, "bitstream:flipped.bin");
+    assert_eq!(d.location.path, "trailer");
+}
+
 // ------------------------------------------------------------------- ipa
 
 #[test]
@@ -340,9 +375,9 @@ fn catalog_lists_the_new_rule_families() {
     assert_eq!(code(&out), 0);
     let text = String::from_utf8_lossy(&out.stdout);
     for rule in [
-        "SRC001", "SRC002", "SRC003", "SRC004", "SRC005", "SRC006", "SRC007", "DS004", "PG001",
-        "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002", "CAP003", "ISO001",
-        "ISO002", "IPA001", "IPA003", "IPA004", "IPA005",
+        "SRC001", "SRC002", "SRC003", "SRC004", "SRC005", "SRC006", "SRC007", "PG001", "PG002",
+        "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002", "CAP003", "ISO001", "ISO002",
+        "IPA001", "IPA003", "IPA004", "IPA005",
     ] {
         assert!(text.contains(rule), "--catalog must list {rule}");
     }

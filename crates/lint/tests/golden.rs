@@ -2,21 +2,18 @@
 //! the exact rule id and location, and stays silent on a clean counterpart.
 //!
 //! Config rules are exercised through the JSON fixtures in `fixtures/`
-//! (the same files a deployment would feed the CLI); netlist, floorplan,
-//! bitstream and fault-trace rules use programmatic fixtures because their inputs
-//! are in-memory artifacts.
+//! (the same files a deployment would feed the CLI); floorplan and
+//! bitstream rules use programmatic fixtures because their inputs are
+//! in-memory artifacts.
 
-use coyote_chaos::{Domain, FaultKind, FaultTrace, TraceKind};
 use coyote_fabric::{
     Bitstream, BitstreamKind, Device, DeviceKind, Floorplan, Partition, PartitionId, Rect,
     ResourceVec, ShellProfile, FRAME_RECORD_BYTES, HEADER_BYTES,
 };
 use coyote_lint::{
-    lint_bitstream, lint_fault_trace, lint_floorplan, lint_netlist, lint_shell_spec, lint_source,
-    DeployContext, PartitionDemand, Report, Severity, ShellSpec,
+    lint_bitstream, lint_floorplan, lint_shell_spec, lint_source, PartitionDemand, Report,
+    Severity, ShellSpec,
 };
-use coyote_sim::SimTime;
-use coyote_synth::{CellKind, Net, Netlist};
 use std::collections::BTreeSet;
 
 fn fixture(name: &str) -> ShellSpec {
@@ -65,11 +62,13 @@ fn config_fixtures_fire_their_rule_at_the_exact_location() {
             "config:cf003-zero-window",
             "qp.window",
         ),
+        // `ShellConfig::validate` refuses broken TLB geometry, so an
+        // inverted sTLB/lTLB page pair is an unschedulable shell.
         (
             "cf004_inverted_tlb.json",
-            "CF004",
+            "CF005",
             "config:cf004-inverted-tlb",
-            "mmu",
+            "shell",
         ),
         (
             "cf005_unschedulable.json",
@@ -97,29 +96,6 @@ fn config_fixtures_fire_their_rule_at_the_exact_location() {
 }
 
 #[test]
-fn cf008_uncoverable_fault_plan_is_an_error() {
-    // CF008's input is an in-memory fault plan + retry policy, like the DES
-    // rules' traces.
-    use coyote_chaos::{FaultPlan, RetryPolicy};
-    let policy = RetryPolicy::reconfig_default();
-
-    // Covered plan: clean.
-    let ok = FaultPlan::new(1).net_loss(0.01);
-    assert!(coyote_lint::lint_fault_plan("chaos", &ok, &policy).is_clean());
-
-    // Uncoverable plan: fires at the exact location with error severity.
-    let bad = FaultPlan::new(1).net_loss(0.5);
-    let r = coyote_lint::lint_fault_plan("cf008-lossy-plan", &bad, &policy);
-    assert_fires(&r, "CF008", "config:cf008-lossy-plan", "plan.net_loss");
-    assert_eq!(r.of_rule("CF008").next().unwrap().severity, Severity::Error);
-
-    // A rate-1.0 blackhole is flagged no matter the budget.
-    let hole = FaultPlan::new(1).net_loss(1.0);
-    let r = coyote_lint::lint_fault_plan("chaos", &hole, &policy);
-    assert!(r.has_errors(), "{}", r.render_human());
-}
-
-#[test]
 fn the_pre_fix_deadlock_config_is_an_error() {
     // The acceptance case: a config reproducing the ack_req starvation
     // deadlock the RC queue pair had before the window-fill ACK fix must be
@@ -127,139 +103,6 @@ fn the_pre_fix_deadlock_config_is_an_error() {
     let r = platform_fixture("wf001_ack_starvation.json");
     assert!(r.has_errors());
     assert_eq!(r.of_rule("WF001").next().unwrap().severity, Severity::Error);
-}
-
-// ---------------------------------------------------------------- netlist
-
-/// A minimal clean netlist: Io -> Lut -> Ff pipeline.
-fn clean_netlist() -> Netlist {
-    Netlist {
-        name: "golden".into(),
-        cells: vec![CellKind::Io, CellKind::Lut, CellKind::Ff],
-        levels: vec![0, 1, 2],
-        nets: vec![
-            Net {
-                driver: 0,
-                sinks: vec![1],
-                width: 8,
-            },
-            Net {
-                driver: 1,
-                sinks: vec![2],
-                width: 16,
-            },
-        ],
-        footprint: ResourceVec::logic(64, 64),
-    }
-}
-
-#[test]
-fn clean_netlist_produces_zero_diagnostics() {
-    let r = lint_netlist(&clean_netlist());
-    assert!(r.is_clean(), "{}", r.render_human());
-}
-
-#[test]
-fn nl001_undriven_net() {
-    let mut n = clean_netlist();
-    n.nets.push(Net {
-        driver: 99,
-        sinks: vec![1],
-        width: 8,
-    });
-    assert_fires(&lint_netlist(&n), "NL001", "netlist:golden", "net[2]");
-}
-
-#[test]
-fn nl002_multiply_driven() {
-    let mut n = clean_netlist();
-    n.cells.push(CellKind::Lut);
-    n.levels.push(1);
-    n.nets.push(Net {
-        driver: 0,
-        sinks: vec![3],
-        width: 8,
-    });
-    assert_fires(&lint_netlist(&n), "NL002", "netlist:golden", "cell[0]");
-}
-
-#[test]
-fn nl003_dangling_cell() {
-    let mut n = clean_netlist();
-    n.cells.push(CellKind::Lut);
-    n.levels.push(1);
-    assert_fires(&lint_netlist(&n), "NL003", "netlist:golden", "cell[3]");
-}
-
-#[test]
-fn nl004_combinational_loop() {
-    let n = Netlist {
-        name: "golden".into(),
-        cells: vec![CellKind::Lut, CellKind::Lut],
-        levels: vec![0, 1],
-        nets: vec![
-            Net {
-                driver: 0,
-                sinks: vec![1],
-                width: 8,
-            },
-            Net {
-                driver: 1,
-                sinks: vec![0],
-                width: 8,
-            },
-        ],
-        footprint: ResourceVec::logic(64, 64),
-    };
-    assert_fires(&lint_netlist(&n), "NL004", "netlist:golden", "cell[0]");
-}
-
-#[test]
-fn nl005_width_mismatch() {
-    let n = Netlist {
-        name: "golden".into(),
-        cells: vec![CellKind::Io, CellKind::Io, CellKind::Lut],
-        levels: vec![0, 0, 1],
-        nets: vec![
-            Net {
-                driver: 0,
-                sinks: vec![2],
-                width: 8,
-            },
-            Net {
-                driver: 1,
-                sinks: vec![2],
-                width: 16,
-            },
-        ],
-        footprint: ResourceVec::logic(64, 64),
-    };
-    assert_fires(&lint_netlist(&n), "NL005", "netlist:golden", "cell[2]");
-}
-
-#[test]
-fn nl006_unreachable_cell() {
-    let mut n = clean_netlist();
-    // Cell 3 drives into the pipeline but nothing reaches *it*.
-    n.cells.push(CellKind::Lut);
-    n.levels.push(1);
-    n.nets.push(Net {
-        driver: 3,
-        sinks: vec![2],
-        width: 16,
-    });
-    assert_fires(&lint_netlist(&n), "NL006", "netlist:golden", "cell[3]");
-}
-
-#[test]
-fn nl007_invalid_sink() {
-    let mut n = clean_netlist();
-    n.nets.push(Net {
-        driver: 2,
-        sinks: vec![99],
-        width: 32,
-    });
-    assert_fires(&lint_netlist(&n), "NL007", "netlist:golden", "net[2]");
 }
 
 // -------------------------------------------------------------- floorplan
@@ -411,11 +254,7 @@ fn clean_bitstream_produces_zero_diagnostics() {
     let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostOnly, 1);
     let frames = Device::frames_for_tiles(fp.tiles_of(PartitionId::Shell).unwrap());
     let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, frames, 7);
-    let ctx = DeployContext {
-        device: DeviceKind::U55C,
-        floorplan: Some(&fp),
-    };
-    let r = lint_bitstream("shell.bin", bs.bytes(), Some(&ctx));
+    let r = lint_bitstream("shell.bin", bs.bytes());
     assert!(r.is_clean(), "{}", r.render_human());
 }
 
@@ -424,7 +263,7 @@ fn bs001_malformed_header() {
     let mut b = good_blob();
     b[0] = b'X';
     assert_fires(
-        &lint_bitstream("bad.bin", &b, None),
+        &lint_bitstream("bad.bin", &b),
         "BS001",
         "bitstream:bad.bin",
         "header",
@@ -437,7 +276,7 @@ fn bs002_truncated() {
     b.truncate(b.len() - FRAME_RECORD_BYTES);
     restamp_crc(&mut b);
     assert_fires(
-        &lint_bitstream("bad.bin", &b, None),
+        &lint_bitstream("bad.bin", &b),
         "BS002",
         "bitstream:bad.bin",
         "body",
@@ -450,7 +289,7 @@ fn bs003_crc_mismatch() {
     let mid = b.len() / 2;
     b[mid] ^= 0xFF;
     assert_fires(
-        &lint_bitstream("bad.bin", &b, None),
+        &lint_bitstream("bad.bin", &b),
         "BS003",
         "bitstream:bad.bin",
         "trailer",
@@ -464,84 +303,11 @@ fn bs004_frame_address_sequence() {
     b[off..off + 4].copy_from_slice(&77u32.to_le_bytes());
     restamp_crc(&mut b);
     assert_fires(
-        &lint_bitstream("bad.bin", &b, None),
+        &lint_bitstream("bad.bin", &b),
         "BS004",
         "bitstream:bad.bin",
         "frame[3]",
     );
-}
-
-#[test]
-fn bs005_frames_outside_partition() {
-    let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostOnly, 1);
-    let budget = Device::frames_for_tiles(fp.tiles_of(PartitionId::Vfpga(0)).unwrap());
-    let bs = Bitstream::assemble(
-        DeviceKind::U55C,
-        BitstreamKind::App { vfpga: 0 },
-        budget + 1,
-        7,
-    );
-    let ctx = DeployContext {
-        device: DeviceKind::U55C,
-        floorplan: Some(&fp),
-    };
-    assert_fires(
-        &lint_bitstream("big.bin", bs.bytes(), Some(&ctx)),
-        "BS005",
-        "bitstream:big.bin",
-        "frames",
-    );
-}
-
-#[test]
-fn bs006_device_mismatch() {
-    let bs = Bitstream::assemble(DeviceKind::U250, BitstreamKind::Shell, 8, 7);
-    let ctx = DeployContext {
-        device: DeviceKind::U55C,
-        floorplan: None,
-    };
-    assert_fires(
-        &lint_bitstream("wrong.bin", bs.bytes(), Some(&ctx)),
-        "BS006",
-        "bitstream:wrong.bin",
-        "header",
-    );
-}
-
-// ------------------------------------------------------------ fault trace
-
-/// A one-event fault trace of `domain`.
-fn fault_trace(domain: Domain, kind: FaultKind) -> FaultTrace {
-    let mut t = FaultTrace::new();
-    t.push(domain, 0, SimTime::ZERO, TraceKind::Injected, kind, 0);
-    t
-}
-
-#[test]
-fn ds004_concatenated_fault_trace() {
-    // NetSwitch's tag sorts after Dma's: recording net before dma leaves
-    // canonical (domain, op) order at the boundary event.
-    let mut t = fault_trace(Domain::NetSwitch, FaultKind::NetLoss);
-    t.push(
-        Domain::Dma,
-        0,
-        SimTime::ZERO,
-        TraceKind::Injected,
-        FaultKind::DmaStall,
-        0,
-    );
-    let r = lint_fault_trace("chaos", &t);
-    assert_fires(&r, "DS004", "trace:chaos", "event[1]");
-    assert!(r.has_errors());
-}
-
-#[test]
-fn clean_trace_produces_zero_diagnostics() {
-    // The canonical merge of the same per-domain traces is clean.
-    let net = fault_trace(Domain::NetSwitch, FaultKind::NetLoss);
-    let dma = fault_trace(Domain::Dma, FaultKind::DmaStall);
-    let r = lint_fault_trace("chaos", &FaultTrace::merged([net, dma]));
-    assert!(r.is_clean(), "{}", r.render_human());
 }
 
 // ----------------------------------------------------- source (detlint)
@@ -811,12 +577,11 @@ fn every_catalog_rule_has_golden_coverage() {
     // Keep this list in sync: a rule added to the catalog without a golden
     // test above fails here.
     let covered = [
-        "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP001", "FP002", "FP003",
-        "FP004", "FP005", "FP006", "FP007", "BS001", "BS002", "BS003", "BS004", "BS005", "BS006",
-        "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008", "DS004", "SRC001", "SRC002",
-        "SRC003", "SRC004", "SRC005", "SRC006", "SRC007", "PG001", "PG002", "WF001", "WF002",
-        "WF003", "WF004", "CAP001", "CAP002", "CAP003", "ISO001", "ISO002", "IPA001", "IPA003",
-        "IPA004", "IPA005",
+        "FP001", "FP002", "FP003", "FP004", "FP005", "FP006", "FP007", "BS001", "BS002", "BS003",
+        "BS004", "CF002", "CF003", "CF005", "CF006", "CF007", "SRC001", "SRC002", "SRC003",
+        "SRC004", "SRC005", "SRC006", "SRC007", "PG001", "PG002", "WF001", "WF002", "WF003",
+        "WF004", "CAP001", "CAP002", "CAP003", "ISO001", "ISO002", "IPA001", "IPA003", "IPA004",
+        "IPA005",
     ];
     // Both ways: a catalog rule without a golden test fails, and so does a
     // covered id whose rule left the catalog.

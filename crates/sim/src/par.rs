@@ -28,7 +28,7 @@
 //! * **Chunked claiming.** Workers claim runs of indices (≈4 chunks per
 //!   worker) rather than single items, so the per-claim synchronization is
 //!   amortized over the run and false sharing on the slot array is rare.
-//! * **Min-work threshold.** Batches below [`MIN_PAR_ITEMS`] run inline on
+//! * **Min-work threshold.** Batches below `MIN_PAR_ITEMS` run inline on
 //!   the caller: spawning a worker for one or two items costs more than the
 //!   loop itself, and the output is bit-identical either way.
 //!

@@ -133,9 +133,8 @@ impl Netlist {
         }
         // Coverage pass: every cell above level 0 gets at least one incoming
         // edge from the level below. The random fanout draw alone leaves a
-        // few percent of cells with no driver, and those accidental dead
-        // cells would be indistinguishable from real defects to a netlist
-        // DRC (dangling/unreachable-cell rules).
+        // few percent of cells with no driver: dead logic that still takes
+        // placement area and computes on undefined inputs.
         let mut is_sink = vec![false; total as usize];
         for net in &nets {
             for &s in &net.sinks {
@@ -217,6 +216,7 @@ impl Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Ip, IpBlock};
 
     fn sample() -> Netlist {
         Netlist::synthesize(
@@ -240,18 +240,58 @@ mod tests {
         assert_eq!(n.primitives(), 64_000 + 128_000 + 32 + 4 + 64);
     }
 
+    /// Every service block a shell configuration can instantiate: the
+    /// fixed services, each memory-channel count, and the MMU at TLB SRAM
+    /// budgets from 2 kbit to 32 Mbit.
+    fn service_blocks() -> Vec<IpBlock> {
+        let mut blocks = vec![
+            IpBlock::new(Ip::HostIf),
+            IpBlock::new(Ip::Cmac),
+            IpBlock::new(Ip::RdmaStack),
+            IpBlock::new(Ip::Sniffer),
+        ];
+        blocks.extend((1..=32).map(|channels| IpBlock::new(Ip::MemoryCtrl { channels })));
+        blocks.extend((0..8).map(|k| {
+            IpBlock::new(Ip::Mmu {
+                sram_bits: 1 << (11 + 2 * k),
+            })
+        }));
+        blocks
+    }
+
     #[test]
     fn nets_go_forward_one_level() {
-        let n = sample();
-        assert!(!n.nets.is_empty());
-        for net in &n.nets {
-            let dl = n.levels[net.driver as usize];
-            for &s in &net.sinks {
-                assert_eq!(
-                    n.levels[s as usize],
-                    dl + 1,
-                    "net crosses exactly one level"
+        let blocks = service_blocks();
+        for n in std::iter::once(sample()).chain(blocks.iter().map(IpBlock::synthesize)) {
+            assert!(!n.nets.is_empty(), "{}", n.name);
+            let mut drives = vec![false; n.cell_count()];
+            let mut is_sink = vec![false; n.cell_count()];
+            for net in &n.nets {
+                let dl = n.levels[net.driver as usize];
+                assert!(
+                    !std::mem::replace(&mut drives[net.driver as usize], true),
+                    "{}: cell {} drives two nets",
+                    n.name,
+                    net.driver
                 );
+                assert_eq!(net.width, stage_width(dl), "{}: net width", n.name);
+                for &s in &net.sinks {
+                    assert_eq!(
+                        n.levels[s as usize],
+                        dl + 1,
+                        "net crosses exactly one level"
+                    );
+                    is_sink[s as usize] = true;
+                }
+            }
+            for (c, (&level, &kind)) in n.levels.iter().zip(&n.cells).enumerate() {
+                if level > 0 && kind != CellKind::Io {
+                    assert!(
+                        is_sink[c],
+                        "{}: cell {c} at level {level} has no driver",
+                        n.name
+                    );
+                }
             }
         }
     }
