@@ -3,7 +3,7 @@
 //! are checked by the harness; this measures the model's engine cost).
 
 use coyote_fabric::config::{ConfigPort, ConfigPortKind, ConfigState};
-use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind};
+use coyote_fabric::{Bitstream, BitstreamHeader, BitstreamKind, DeviceKind};
 use coyote_sim::SimTime;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
                 let mut port = ConfigPort::new(kind);
                 let mut state = ConfigState::new(DeviceKind::U55C);
                 black_box(
-                    port.program(SimTime::ZERO, black_box(&bs), &mut state)
+                    port.program(SimTime::ZERO, black_box(bs.header()), &mut state)
                         .unwrap(),
                 )
             })
@@ -32,8 +32,7 @@ fn bench(c: &mut Criterion) {
     // Bitstream validation (parse + CRC over 40 MB) is the dominant real
     // cost of a reconfiguration request in the driver.
     group.bench_function("bitstream_parse_validate", |b| {
-        let bytes = bs.bytes().to_vec();
-        b.iter(|| black_box(Bitstream::from_bytes(bytes.clone()).unwrap()))
+        b.iter(|| black_box(BitstreamHeader::validate(black_box(bs.bytes())).unwrap()))
     });
     group.finish();
 }

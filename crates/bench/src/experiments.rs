@@ -74,7 +74,7 @@ pub fn table2() -> ExperimentResult {
         let mut port = ConfigPort::new(kind);
         let mut state = ConfigState::new(DeviceKind::U55C);
         let xfer = port
-            .program(SimTime::ZERO, &bs, &mut state)
+            .program(SimTime::ZERO, bs.header(), &mut state)
             .expect("program");
         let measured = mb / xfer.done.since(SimTime::ZERO).as_secs_f64();
         rows.push(

@@ -16,7 +16,7 @@
 use crate::report::{ExperimentResult, Row};
 use coyote_chaos::{Domain, FaultPlan, RetryPolicy};
 use coyote_driver::{BatchedReconfig, CompletionStatus, CoyoteDriver};
-use coyote_fabric::{Bitstream, BitstreamCache, BitstreamKind, DeviceKind};
+use coyote_fabric::{Bitstream, BitstreamCache, BitstreamHeader, BitstreamKind, DeviceKind};
 use coyote_sim::{fnv, par_map, SimTime};
 
 /// CI smoke mode (`coyote-bench reconfig_storm --quick`): fewer tenants and
@@ -73,7 +73,7 @@ pub fn reconfig_storm() -> ExperimentResult {
         })
         .collect();
     for blob in &blobs {
-        Bitstream::from_bytes_in(&cache, blob.clone()).expect("valid by construction");
+        BitstreamHeader::validate_in(&cache, blob).expect("valid by construction");
     }
     let primed_misses = cache.stats().misses;
 
@@ -82,7 +82,7 @@ pub fn reconfig_storm() -> ExperimentResult {
         let blob = &blobs[t as usize % images];
         // Shared-cache deployment: after priming this is always a hit, so
         // the tenant pays the content hash but never the frame scan.
-        let bs = Bitstream::from_bytes_in(&cache, blob.clone()).expect("primed image");
+        let header = BitstreamHeader::validate_in(&cache, blob).expect("primed image");
         let mut drv = CoyoteDriver::new(DeviceKind::U55C);
         // Every eighth tenant deploys through an in-flight bit flip on its
         // second frame run; the batch must recover by re-queueing that run
@@ -94,7 +94,7 @@ pub fn reconfig_storm() -> ExperimentResult {
         let result = drv
             .reconfigure_batched(
                 SimTime::ZERO,
-                bs.bytes(),
+                blob,
                 t % 2 == 0, // Half the fleet deploys from disk, half from memory.
                 RetryPolicy::reconfig_default(),
                 Some(per_run),
@@ -102,7 +102,7 @@ pub fn reconfig_storm() -> ExperimentResult {
             .expect("storm reconfiguration completes");
         TenantOutcome {
             tenant: t,
-            digest: bs.digest(),
+            digest: header.digest(),
             ring_high_water: drv.completion_ring().high_water(),
             result,
         }

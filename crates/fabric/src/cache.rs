@@ -9,12 +9,13 @@
 //! them by content hash, so repeat deployments skip straight to the ICAP.
 //!
 //! [`BitstreamCache`] is that artifact cache. It maps a fast 64-bit content
-//! hash (plus the blob length) to the parsed header metadata
-//! (`device`/`kind`/`frames`/`digest`). [`Bitstream::from_bytes`] consults
-//! the process-wide instance: on a hit it rebuilds the `Bitstream` without
-//! re-running the CRC or the frame scan; on a miss it validates fully and
-//! inserts. [`Bitstream::assemble`] primes the cache, because a blob it
-//! just wrote is valid by construction.
+//! hash (plus the blob length) to the blob's [`BitstreamHeader`], the one
+//! `Copy` type every deploy path programs from. [`BitstreamHeader::validate`]
+//! consults the process-wide instance over a *borrowed* blob: on a hit it
+//! returns the cached header without re-running the CRC or the frame scan;
+//! on a miss it validates fully and inserts. Neither path copies the blob.
+//! [`Bitstream::assemble`] primes the cache, because a blob it just wrote
+//! is valid by construction.
 //!
 //! # Coherence
 //!
@@ -23,22 +24,23 @@
 //! the content hash and therefore misses, falling back to full validation.
 //! A cached entry can never mask corruption, it can only skip re-proving
 //! the validity of bytes that were already proven valid. On a hit the
-//! 32-byte header is additionally cross-checked against the cached
-//! metadata, so a (astronomically unlikely) hash collision between two
-//! well-formed blobs would still need identical headers to go unnoticed.
+//! 32-byte header is additionally parsed by the same parser the full
+//! validation uses and compared with the cached header, so a
+//! (astronomically unlikely) hash collision between two well-formed blobs
+//! would still need identical headers to go unnoticed.
 //!
 //! # Determinism
 //!
 //! The cache only affects host wall-clock, never simulated time: a hit and
-//! a miss produce byte-identical `Bitstream` values. Concurrent `par_map`
-//! workers may race on insertions, but the *result* of every lookup is a
-//! pure function of the blob bytes, so DES fingerprints are unaffected.
+//! a miss return the same header. Concurrent `par_map` workers may race on
+//! insertions, but the *result* of every lookup is a pure function of the
+//! blob bytes, so fingerprints are unaffected.
 //!
-//! [`Bitstream::from_bytes`]: crate::Bitstream::from_bytes
+//! [`BitstreamHeader`]: crate::BitstreamHeader
+//! [`BitstreamHeader::validate`]: crate::BitstreamHeader::validate
 //! [`Bitstream::assemble`]: crate::Bitstream::assemble
 
-use crate::bitstream::{Bitstream, BitstreamKind, HEADER_BYTES, MAGIC, VERSION};
-use crate::device::DeviceKind;
+use crate::bitstream::{Bitstream, BitstreamHeader};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 
@@ -46,45 +48,6 @@ use std::sync::{Mutex, OnceLock};
 /// bytes of metadata (the blob bytes themselves are never retained), so
 /// this bounds the cache to a few tens of kilobytes.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
-
-/// Parsed header metadata retained per cached blob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CachedMeta {
-    /// Target device from the header.
-    pub device: DeviceKind,
-    /// What the bitstream reconfigures.
-    pub kind: BitstreamKind,
-    /// Frame count.
-    pub frames: u64,
-    /// Design digest.
-    pub digest: u64,
-}
-
-impl CachedMeta {
-    /// Cross-check the cached metadata against a blob's 32-byte header.
-    /// Cheap (constant time) and defeats hash collisions between blobs
-    /// whose headers differ.
-    pub(crate) fn matches_header(&self, bytes: &[u8]) -> bool {
-        if bytes.len() < HEADER_BYTES + 4 || &bytes[0..4] != MAGIC {
-            return false;
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        let dev_id = u16::from_le_bytes([bytes[6], bytes[7]]);
-        let (kind_code, vfpga) = (bytes[8], bytes[9]);
-        let frames = u64::from_le_bytes(bytes[10..18].try_into().expect("slice len 8"));
-        let digest = u64::from_le_bytes(bytes[18..26].try_into().expect("slice len 8"));
-        let want_kind = match self.kind {
-            BitstreamKind::Full => (0, 0xFF),
-            BitstreamKind::Shell => (1, 0xFF),
-            BitstreamKind::App { vfpga } => (2, vfpga),
-        };
-        version == VERSION
-            && dev_id == self.device.id()
-            && (kind_code, vfpga) == want_kind
-            && frames == self.frames
-            && digest == self.digest
-    }
-}
 
 /// Hit/miss/eviction counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -115,7 +78,7 @@ impl CacheStats {
 struct CacheInner {
     // Keyed by (blob length, content hash). Lookup tables only — never
     // iterated, so bucket order cannot leak into any artifact.
-    map: HashMap<(u64, u64), CachedMeta>,
+    map: HashMap<(u64, u64), BitstreamHeader>,
     // FIFO insertion order for deterministic capacity eviction.
     order: VecDeque<(u64, u64)>,
     stats: CacheStats,
@@ -143,21 +106,21 @@ impl BitstreamCache {
     }
 
     /// The process-wide cache shared by every driver and tenant
-    /// ([`Bitstream::from_bytes`] consults it).
+    /// ([`BitstreamHeader::validate`] consults it).
     ///
-    /// [`Bitstream::from_bytes`]: crate::Bitstream::from_bytes
+    /// [`BitstreamHeader::validate`]: crate::BitstreamHeader::validate
     pub fn global() -> &'static BitstreamCache {
         static GLOBAL: OnceLock<BitstreamCache> = OnceLock::new();
         GLOBAL.get_or_init(|| BitstreamCache::new(DEFAULT_CACHE_CAPACITY))
     }
 
     /// Look up a blob by `(len, hash)`. Counts a hit or a miss.
-    pub(crate) fn lookup(&self, len: u64, hash: u64) -> Option<CachedMeta> {
+    pub(crate) fn lookup(&self, len: u64, hash: u64) -> Option<BitstreamHeader> {
         let mut inner = self.inner.lock().expect("bitstream cache poisoned");
         match inner.map.get(&(len, hash)).copied() {
-            Some(meta) => {
+            Some(header) => {
                 inner.stats.hits += 1;
-                Some(meta)
+                Some(header)
             }
             None => {
                 inner.stats.misses += 1;
@@ -166,11 +129,12 @@ impl BitstreamCache {
         }
     }
 
-    /// Insert metadata for a validated blob.
-    pub(crate) fn insert(&self, len: u64, hash: u64, meta: CachedMeta) {
+    /// Insert the header of a validated blob whose content hash is `hash`.
+    pub(crate) fn insert(&self, hash: u64, header: BitstreamHeader) {
+        let key = (header.len(), hash);
         let mut inner = self.inner.lock().expect("bitstream cache poisoned");
-        if inner.map.insert((len, hash), meta).is_none() {
-            inner.order.push_back((len, hash));
+        if inner.map.insert(key, header).is_none() {
+            inner.order.push_back(key);
             inner.stats.insertions += 1;
             while inner.order.len() > self.capacity {
                 let oldest = inner.order.pop_front().expect("non-empty order queue");
@@ -183,17 +147,7 @@ impl BitstreamCache {
     /// Record a validated bitstream (used by `assemble` to prime the cache
     /// with blobs that are valid by construction).
     pub fn admit(&self, bs: &Bitstream) {
-        let hash = content_hash64(bs.bytes());
-        self.insert(
-            bs.len(),
-            hash,
-            CachedMeta {
-                device: bs.device(),
-                kind: bs.kind(),
-                frames: bs.frames(),
-                digest: bs.digest(),
-            },
-        );
+        self.insert(content_hash64(bs.bytes()), bs.header());
     }
 
     /// Entries currently held.
@@ -270,6 +224,7 @@ pub fn content_hash64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BitstreamKind, DeviceKind};
 
     #[test]
     fn hash_is_bit_sensitive() {
@@ -299,15 +254,16 @@ mod tests {
     #[test]
     fn fifo_eviction_is_bounded() {
         let cache = BitstreamCache::new(2);
-        let meta = CachedMeta {
+        let header = BitstreamHeader {
             device: DeviceKind::U55C,
             kind: BitstreamKind::Full,
             frames: 1,
             digest: 0,
+            len: 10,
         };
-        cache.insert(10, 1, meta);
-        cache.insert(10, 2, meta);
-        cache.insert(10, 3, meta);
+        cache.insert(1, header);
+        cache.insert(2, header);
+        cache.insert(3, header);
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup(10, 1).is_none(), "oldest entry evicted");
         assert!(cache.lookup(10, 2).is_some());
@@ -322,14 +278,15 @@ mod tests {
     #[test]
     fn reinsert_does_not_duplicate_order() {
         let cache = BitstreamCache::new(2);
-        let meta = CachedMeta {
+        let header = BitstreamHeader {
             device: DeviceKind::U55C,
             kind: BitstreamKind::Full,
             frames: 1,
             digest: 0,
+            len: 10,
         };
         for _ in 0..10 {
-            cache.insert(10, 1, meta);
+            cache.insert(1, header);
         }
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().insertions, 1);

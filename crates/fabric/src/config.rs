@@ -9,16 +9,17 @@
 //! the ICAP bandwidth (~800 MBps on AMD UltraScale+ devices)."
 //!
 //! [`ConfigPort`] models all four controllers of Table 2; programming a
-//! [`Bitstream`] occupies the port for `len / bandwidth` and then commits
-//! the image into the [`ConfigState`].
+//! validated blob, known by its [`BitstreamHeader`], occupies the port for
+//! `len / bandwidth` and then commits the image into the [`ConfigState`].
 
-use crate::bitstream::{Bitstream, BitstreamError, BitstreamKind, FrameRun};
+use crate::bitstream::{BitstreamError, BitstreamHeader, BitstreamKind, FrameRun};
 use crate::crc::crc32;
 use crate::device::DeviceKind;
 use crate::floorplan::PartitionId;
 use coyote_chaos::{FaultKind, Injector};
 use coyote_sim::time::Bandwidth;
 use coyote_sim::{LinkModel, SimDuration, SimTime, Transfer};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// The reconfiguration controllers compared in Table 2.
@@ -165,13 +166,13 @@ impl ConfigState {
     }
 
     /// Commit a validated bitstream at `at`.
-    fn commit(&mut self, bs: &Bitstream, at: SimTime) {
+    fn commit(&mut self, header: BitstreamHeader, at: SimTime) {
         let image = LoadedImage {
-            digest: bs.digest(),
-            frames: bs.frames(),
+            digest: header.digest(),
+            frames: header.frames(),
             at,
         };
-        match bs.kind() {
+        match header.kind() {
             BitstreamKind::Full => {
                 // Full reprogramming wipes every partition.
                 self.loaded.clear();
@@ -233,44 +234,46 @@ impl ConfigPort {
         self.chaos.as_mut()
     }
 
-    /// Program `bs` starting at or after `now`; on success the image is
-    /// committed into `state` at the returned transfer's `done` instant.
+    /// Program the validated blob described by `header`, starting at or
+    /// after `now`; on success the image is committed into `state` at the
+    /// returned transfer's `done` instant.
     ///
     /// The rest of the device keeps running: only the target partition's
     /// contents change, and only the port itself is occupied.
     pub fn program(
         &mut self,
         now: SimTime,
-        bs: &Bitstream,
+        header: BitstreamHeader,
         state: &mut ConfigState,
     ) -> Result<Transfer, ConfigError> {
-        if bs.device() != state.device() {
+        if header.device() != state.device() {
             return Err(ConfigError::DeviceMismatch {
                 card: state.device(),
-                bitstream: bs.device(),
+                bitstream: header.device(),
             });
         }
-        let xfer = self.link.transmit(now, bs.len());
-        state.commit(bs, xfer.done);
+        let xfer = self.link.transmit(now, header.len());
+        state.commit(header, xfer.done);
         Ok(xfer)
     }
 
-    /// Stream one frame run of an in-flight blob copy through the port.
+    /// Stream one frame run of a blob through the port.
     ///
     /// The chaos injector is consulted once per run (a [`FaultKind::BitstreamFlip`]
-    /// flips one bit of the run's bytes, a [`FaultKind::IcapReject`] refuses
-    /// the request), then the run's CRC is checked against the pristine
-    /// value carried by `run` — one integrity check per run instead of per
-    /// frame. Nothing is committed here; the caller commits the whole image
-    /// via [`ConfigPort::commit_batch`] once every run has passed.
+    /// flips one bit of the in-flight copy of the run's bytes, a
+    /// [`FaultKind::IcapReject`] refuses the request), then the run's CRC is
+    /// checked against the pristine value carried by `run` — one integrity
+    /// check per run instead of per frame. Only a flipped run is copied.
+    /// Nothing is committed here; the caller commits the whole image via
+    /// [`ConfigPort::commit_batch`] once every run has passed.
     pub fn program_run(
         &mut self,
         now: SimTime,
         run: &FrameRun,
-        run_bytes: Vec<u8>,
+        run_bytes: &[u8],
     ) -> Result<Transfer, ProgramError> {
         debug_assert_eq!(run_bytes.len(), run.byte_len, "run byte range mismatch");
-        let mut run_bytes = run_bytes;
+        let mut run_bytes = Cow::Borrowed(run_bytes);
         let mut flipped = false;
         if let Some(inj) = &mut self.chaos {
             for fault in inj.next_at(now) {
@@ -282,7 +285,7 @@ impl ConfigPort {
                             inj.derived(run_bytes.len() as u64)
                         };
                         let idx = (bit / 8) as usize % run_bytes.len();
-                        run_bytes[idx] ^= 1 << (bit % 8);
+                        run_bytes.to_mut()[idx] ^= 1 << (bit % 8);
                         flipped = true;
                     }
                     FaultKind::IcapReject => {
@@ -315,16 +318,16 @@ impl ConfigPort {
     pub fn commit_batch(
         &mut self,
         state: &mut ConfigState,
-        bs: &Bitstream,
+        header: BitstreamHeader,
         at: SimTime,
     ) -> Result<(), ConfigError> {
-        if bs.device() != state.device() {
+        if header.device() != state.device() {
             return Err(ConfigError::DeviceMismatch {
                 card: state.device(),
-                bitstream: bs.device(),
+                bitstream: header.device(),
             });
         }
-        state.commit(bs, at);
+        state.commit(header, at);
         Ok(())
     }
 
@@ -337,7 +340,7 @@ impl ConfigPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitstream::BitstreamKind;
+    use crate::bitstream::{Bitstream, BitstreamKind};
 
     fn shell_bs(digest: u64) -> Bitstream {
         Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 1000, digest)
@@ -359,7 +362,9 @@ mod tests {
         for (kind, mbps) in cases {
             let mut port = ConfigPort::new(kind);
             let mut state = ConfigState::new(DeviceKind::U55C);
-            let xfer = port.program(SimTime::ZERO, &bs, &mut state).unwrap();
+            let xfer = port
+                .program(SimTime::ZERO, bs.header(), &mut state)
+                .unwrap();
             let secs = xfer.done.since(SimTime::ZERO).as_secs_f64();
             let measured = mb / secs;
             assert!(
@@ -375,7 +380,9 @@ mod tests {
         let bs = Bitstream::assemble(DeviceKind::U250, BitstreamKind::Shell, 10, 1);
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
-        let err = port.program(SimTime::ZERO, &bs, &mut state).unwrap_err();
+        let err = port
+            .program(SimTime::ZERO, bs.header(), &mut state)
+            .unwrap_err();
         assert!(matches!(err, ConfigError::DeviceMismatch { .. }));
         assert_eq!(state.reconfig_count(), 0);
     }
@@ -385,10 +392,11 @@ mod tests {
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
         let app = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::App { vfpga: 2 }, 50, 77);
-        port.program(SimTime::ZERO, &app, &mut state).unwrap();
+        port.program(SimTime::ZERO, app.header(), &mut state)
+            .unwrap();
         assert_eq!(state.image(PartitionId::Vfpga(2)).unwrap().digest, 77);
 
-        port.program(SimTime::ZERO, &shell_bs(99), &mut state)
+        port.program(SimTime::ZERO, shell_bs(99).header(), &mut state)
             .unwrap();
         assert_eq!(state.image(PartitionId::Shell).unwrap().digest, 99);
         assert!(
@@ -401,10 +409,11 @@ mod tests {
     fn app_reconfig_leaves_shell_intact() {
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
-        port.program(SimTime::ZERO, &shell_bs(1), &mut state)
+        port.program(SimTime::ZERO, shell_bs(1).header(), &mut state)
             .unwrap();
         let app = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::App { vfpga: 0 }, 50, 2);
-        port.program(SimTime::ZERO, &app, &mut state).unwrap();
+        port.program(SimTime::ZERO, app.header(), &mut state)
+            .unwrap();
         assert_eq!(state.image(PartitionId::Shell).unwrap().digest, 1);
         assert_eq!(state.image(PartitionId::Vfpga(0)).unwrap().digest, 2);
         assert_eq!(state.reconfig_count(), 2);
@@ -415,10 +424,10 @@ mod tests {
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
         let a = port
-            .program(SimTime::ZERO, &shell_bs(1), &mut state)
+            .program(SimTime::ZERO, shell_bs(1).header(), &mut state)
             .unwrap();
         let b = port
-            .program(SimTime::ZERO, &shell_bs(2), &mut state)
+            .program(SimTime::ZERO, shell_bs(2).header(), &mut state)
             .unwrap();
         assert_eq!(
             b.start, a.done,
@@ -433,19 +442,19 @@ mod tests {
         let mut ref_port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut ref_state = ConfigState::new(DeviceKind::U55C);
         let ref_xfer = ref_port
-            .program(SimTime::ZERO, &bs, &mut ref_state)
+            .program(SimTime::ZERO, bs.header(), &mut ref_state)
             .unwrap();
 
         // Batched: 4 runs streamed back-to-back, then one commit.
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
         let mut at = SimTime::ZERO;
-        for run in bs.frame_runs(Some(250)) {
-            let bytes = bs.bytes()[run.byte_off..run.byte_off + run.byte_len].to_vec();
+        for run in bs.header().frame_runs(bs.bytes(), Some(250)) {
+            let bytes = &bs.bytes()[run.byte_off..run.byte_off + run.byte_len];
             let xfer = port.program_run(at, &run, bytes).unwrap();
             at = xfer.done;
         }
-        port.commit_batch(&mut state, &bs, at).unwrap();
+        port.commit_batch(&mut state, bs.header(), at).unwrap();
 
         assert_eq!(
             at, ref_xfer.done,
@@ -461,11 +470,11 @@ mod tests {
         let bs = shell_bs(44);
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let state = ConfigState::new(DeviceKind::U55C);
-        let runs = bs.frame_runs(Some(400));
+        let runs = bs.header().frame_runs(bs.bytes(), Some(400));
         let run = &runs[1];
         let mut bytes = bs.bytes()[run.byte_off..run.byte_off + run.byte_len].to_vec();
         bytes[17] ^= 0x80;
-        let err = port.program_run(SimTime::ZERO, run, bytes).unwrap_err();
+        let err = port.program_run(SimTime::ZERO, run, &bytes).unwrap_err();
         assert!(matches!(
             err,
             ProgramError::Bitstream(BitstreamError::CrcMismatch { .. })
@@ -484,7 +493,7 @@ mod tests {
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
         assert!(matches!(
-            port.commit_batch(&mut state, &bs, SimTime::ZERO),
+            port.commit_batch(&mut state, bs.header(), SimTime::ZERO),
             Err(ConfigError::DeviceMismatch { .. })
         ));
     }
@@ -493,10 +502,11 @@ mod tests {
     fn full_reprogram_resets_everything() {
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
-        port.program(SimTime::ZERO, &shell_bs(5), &mut state)
+        port.program(SimTime::ZERO, shell_bs(5).header(), &mut state)
             .unwrap();
         let full = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Full, 100, 6);
-        port.program(SimTime::ZERO, &full, &mut state).unwrap();
+        port.program(SimTime::ZERO, full.header(), &mut state)
+            .unwrap();
         assert_eq!(state.image(PartitionId::Shell).unwrap().digest, 6);
         assert_eq!(state.image(PartitionId::Static).unwrap().digest, 6);
     }

@@ -3,6 +3,11 @@
 //! Used for the bitstream integrity word (the real devices embed a CRC in
 //! the configuration stream and abort configuration on mismatch) and for the
 //! ICRC of the RoCE v2 stack in `coyote-net`.
+//!
+//! [`crc32_combine`] joins the CRCs of adjacent byte ranges without
+//! re-reading them, which lets bitstream assembly checksum fixed-size frame
+//! ranges on separate workers and still produce the one CRC a serial pass
+//! over the whole blob would.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -123,6 +128,61 @@ pub fn crc32(data: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(data);
     c.finish()
+}
+
+/// `a(x)·b(x) mod P(x)` over GF(2), in the reflected bit order of the CRC
+/// (bit 31 is the `x^0` coefficient). `a` must be non-zero.
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0u32;
+    loop {
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
+            }
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+}
+
+/// `X2N[n] = x^(2^n) mod P(x)`. The multiplicative order of `x` divides
+/// `2^32 - 1`, so the table wraps after 32 entries.
+static X2N: [u32; 32] = build_x2n();
+
+const fn build_x2n() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    table[0] = p;
+    let mut n = 1;
+    while n < 32 {
+        p = multmodp(p, p);
+        table[n] = p;
+        n += 1;
+    }
+    table
+}
+
+/// `x^(n·2^k) mod P(x)`, by square-and-multiply over the bits of `n`.
+fn x2nmodp(mut n: u64, mut k: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// The CRC-32 of `a ‖ b`, given `crc1 = crc32(a)`, `crc2 = crc32(b)` and
+/// `len2 = b.len()`: zlib's `crc32_combine`. Shifting `crc1` over `len2`
+/// zero bytes is one multiplication by `x^(8·len2)` mod the polynomial, so
+/// the cost is logarithmic in `len2` and no byte of `a` or `b` is re-read.
+pub fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
+    multmodp(x2nmodp(len2, 3), crc1) ^ crc2
 }
 
 #[cfg(test)]

@@ -27,7 +27,9 @@ pub mod device;
 pub mod floorplan;
 pub mod resources;
 
-pub use bitstream::{Bitstream, BitstreamError, BitstreamKind, FrameRun, HEADER_BYTES};
+pub use bitstream::{
+    Bitstream, BitstreamError, BitstreamHeader, BitstreamKind, FrameRun, HEADER_BYTES,
+};
 pub use cache::{content_hash64, BitstreamCache, CacheStats};
 pub use config::{ConfigError, ConfigPort, ConfigPortKind, ConfigState, ProgramError};
 pub use crc::crc32;

@@ -1,6 +1,6 @@
 //! Property-based tests on bitstreams and CRC.
 
-use coyote_fabric::crc::{crc32, Crc32};
+use coyote_fabric::crc::{crc32, crc32_combine, Crc32};
 use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind};
 use proptest::prelude::*;
 
@@ -36,5 +36,17 @@ proptest! {
             c.update(part);
         }
         prop_assert_eq!(c.finish(), crc32(&data));
+    }
+
+    /// Joining the CRCs of two halves gives the CRC of the whole, for any
+    /// split point, empty halves included.
+    #[test]
+    fn crc_combine_joins_any_split(data in prop::collection::vec(any::<u8>(), 0..4000),
+                                   split_seed in any::<u64>()) {
+        let split = (split_seed % (data.len() as u64 + 1)) as usize;
+        for at in [0, split, data.len()] {
+            let (a, b) = data.split_at(at);
+            prop_assert_eq!(crc32_combine(crc32(a), crc32(b), b.len() as u64), crc32(&data));
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! and the build flows size every image to its own partition.
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
-use coyote_fabric::{Bitstream, BitstreamError};
+use coyote_fabric::{BitstreamError, BitstreamHeader};
 
 fn loc(name: &str, path: &str) -> Location {
     Location::new(format!("bitstream:{name}"), path)
@@ -17,7 +17,7 @@ fn loc(name: &str, path: &str) -> Location {
 /// Verify one blob.
 pub fn lint_bitstream(name: &str, bytes: &[u8]) -> Report {
     let mut report = Report::new();
-    if let Err(e) = Bitstream::from_bytes(bytes.to_vec()) {
+    if let Err(e) = BitstreamHeader::validate(bytes) {
         let (rule, path) = match &e {
             BitstreamError::BadMagic
             | BitstreamError::BadVersion(_)
@@ -41,7 +41,7 @@ pub fn lint_bitstream(name: &str, bytes: &[u8]) -> Report {
 mod tests {
     use super::*;
     use coyote_fabric::{
-        BitstreamKind, Device, DeviceKind, Floorplan, PartitionId, ShellProfile,
+        Bitstream, BitstreamKind, Device, DeviceKind, Floorplan, PartitionId, ShellProfile,
         FRAME_RECORD_BYTES, HEADER_BYTES,
     };
 

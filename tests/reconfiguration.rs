@@ -2,11 +2,15 @@
 //! reconfiguration with kernel swap, and the on-demand HLL load of §9.6.
 
 use coyote::build::{build_app, build_shell};
-use coyote::{CRcnfg, CThread, Oper, Platform, SgEntry, ShellConfig};
+use coyote::config::ConfigError;
+use coyote::{CRcnfg, CThread, Oper, Platform, PlatformError, SgEntry, ShellConfig};
 use coyote_apps::{AesEcbKernel, HllKernel};
-use coyote_driver::VivadoBaseline;
+use coyote_driver::{ReconfigError, VivadoBaseline};
 use coyote_fabric::config::{ConfigPort, ConfigPortKind, ConfigState};
-use coyote_fabric::{Bitstream, BitstreamKind, Device, DeviceKind};
+use coyote_fabric::{
+    Bitstream, BitstreamError, BitstreamKind, Device, DeviceKind, PartitionId, FRAME_RECORD_BYTES,
+    HEADER_BYTES,
+};
 use coyote_sim::SimTime;
 use coyote_synth::{Ip, IpBlock};
 
@@ -24,7 +28,9 @@ fn table2_port_ordering() {
     ] {
         let mut port = ConfigPort::new(kind);
         let mut state = ConfigState::new(DeviceKind::U55C);
-        let t = port.program(SimTime::ZERO, &bs, &mut state).unwrap();
+        let t = port
+            .program(SimTime::ZERO, bs.header(), &mut state)
+            .unwrap();
         times.push((kind, t.done.since(SimTime::ZERO)));
     }
     assert!(times[3].1 < times[2].1 && times[2].1 < times[1].1 && times[1].1 < times[0].1);
@@ -173,4 +179,93 @@ fn in_memory_bitstreams_skip_the_disk_stage() {
         .unwrap();
     assert!(cached.total_latency < from_disk.total_latency / 2);
     assert_eq!(cached.kernel_latency, from_disk.kernel_latency);
+}
+
+/// What a failed reconfiguration must leave untouched.
+fn platform_state(
+    p: &Platform,
+) -> (
+    u64,
+    SimTime,
+    u64,
+    Option<coyote_fabric::config::LoadedImage>,
+) {
+    let state = p.driver().config_state();
+    (
+        p.shell_digest(),
+        p.now(),
+        state.reconfig_count(),
+        state.image(PartitionId::Shell).copied(),
+    )
+}
+
+#[test]
+fn shell_reconfig_to_an_invalid_config_fails_whole() {
+    let cfg = ShellConfig::host_only(1);
+    let mut p = Platform::load(cfg.clone()).unwrap();
+    let rcnfg = CRcnfg::new(&mut p, 1);
+    let good = Bitstream::assemble(cfg.device, BitstreamKind::Shell, 100, 0x600D);
+    p.register_shell(good.digest(), cfg.clone());
+    rcnfg
+        .reconfigure_shell_bytes(&mut p, good.bytes(), false)
+        .unwrap();
+
+    // A shell whose sTLB geometry the MMU cannot build.
+    let mut broken = cfg.clone();
+    broken.mmu.stlb.sets = 100;
+    let bad = Bitstream::assemble(cfg.device, BitstreamKind::Shell, 100, 0xBAD);
+    p.register_shell(bad.digest(), broken);
+    let before = platform_state(&p);
+    let err = rcnfg
+        .reconfigure_shell_bytes(&mut p, bad.bytes(), false)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PlatformError::Config(ConfigError::BadTlbGeometry { .. })
+        ),
+        "{err}"
+    );
+    assert_eq!(platform_state(&p), before, "nothing was committed");
+    assert_eq!(p.shell_digest(), good.digest());
+}
+
+#[test]
+fn shell_bytes_path_rejects_a_flipped_byte_and_times_like_the_parsed_path() {
+    let cfg = ShellConfig::host_only(1);
+    // Five assembly ranges of 1024 frames; the flip lands in the fourth.
+    let image = Bitstream::assemble(cfg.device, BitstreamKind::Shell, 5000, 0x5EED);
+    let mut flipped = image.bytes().to_vec();
+    flipped[HEADER_BYTES + 3 * 1024 * FRAME_RECORD_BYTES + 100] ^= 0xFF;
+
+    let mut p = Platform::load(cfg.clone()).unwrap();
+    let rcnfg = CRcnfg::new(&mut p, 1);
+    p.register_shell(image.digest(), cfg.clone());
+    let before = platform_state(&p);
+    let err = rcnfg
+        .reconfigure_shell_bytes(&mut p, &flipped, true)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PlatformError::Reconfig(ReconfigError::Bitstream(BitstreamError::CrcMismatch { .. }))
+        ),
+        "{err}"
+    );
+    assert_eq!(platform_state(&p), before, "nothing was committed");
+
+    // A clean deploy from bytes times exactly like the parsed path on a
+    // twin platform.
+    let by_bytes = rcnfg
+        .reconfigure_shell_bytes(&mut p, image.bytes(), true)
+        .unwrap();
+    let mut twin = Platform::load(cfg.clone()).unwrap();
+    let twin_rcnfg = CRcnfg::new(&mut twin, 1);
+    twin.register_shell(image.digest(), cfg);
+    let parsed = twin_rcnfg
+        .reconfigure_shell_parsed(&mut twin, &image, true)
+        .unwrap();
+    assert_eq!(by_bytes, parsed);
+    assert_eq!(p.shell_digest(), image.digest());
+    assert_eq!(platform_state(&p), platform_state(&twin));
 }
